@@ -1,7 +1,7 @@
 // PR 4 perf snapshot: constraint-filtered edges_of over heavy edges --
 // serial lock-and-fetch per holder (the pre-PR4 shape) vs the batched
-// fetch_edges_batch path (one overlapped lock CAS round + one primary and
-// one continuation block round for every heavy holder a query touches).
+// holder fetch path (one overlapped lock CAS round + one primary and one
+// continuation block round for every heavy holder a query touches).
 //
 // The graph gives half its edges their own holders (heavy_edge_fraction),
 // with the label stored in the holder -- so a label-constrained edges_of

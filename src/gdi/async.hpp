@@ -124,10 +124,10 @@ class BatchScope {
   }
   /// GDI_AssociateEdgeNb: fetch + lock a heavy edge's holder. All edge
   /// holders of one execute() -- these, get_edge_properties targets, and the
-  /// heavy edges behind constraint-filtered edges_of -- ride one
-  /// fetch_edges_batch: one overlapped lock CAS round set plus one primary
-  /// and one continuation block round for the whole set, the same treatment
-  /// vertices get (and the same shared-cache eligibility).
+  /// heavy edges behind constraint-filtered edges_of -- ride one call of the
+  /// holder fetch path vertices use: one overlapped lock CAS round set plus
+  /// one primary and one continuation block round for the whole set, with
+  /// the same shared-cache eligibility.
   Future<EdgeHandle> associate_edge(DPtr eid);
   Future<std::vector<PropValue>> get_edge_properties(DPtr eid, std::uint32_t ptype);
   Future<std::vector<PropValue>> get_edge_properties(EdgeHandle e, std::uint32_t ptype) {

@@ -25,12 +25,14 @@
 //                    vertex upgrades to (or directly takes) the write lock.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <span>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "common/dptr.hpp"
@@ -232,64 +234,99 @@ class Transaction {
 
   enum class LockState : std::uint8_t { kNone = 0, kRead, kWrite };
 
+  // --- holder states ----------------------------------------------------------
+  //
+  // Vertices and heavy edges are both holders on the one block layer, each
+  // locked through its primary block's lock word (paper 5.4, 5.6). The
+  // lock/fetch/commit protocol below is written once, as templates over the
+  // state type; every fact that differs between the two kinds is a member of
+  // these two types (or of their layout::*View).
   struct VertexState {
+    using View = layout::VertexView;
+    static constexpr bool kIsEdge = false;  ///< shared-cache entry tag
     std::vector<std::byte> buf;
-    layout::VertexView view{buf};
+    View view{buf};
     LockState lock = LockState::kNone;
     bool created = false;
     bool deleted = false;
     std::vector<std::uint8_t> orig_index_match;  ///< per-db-index, at fetch time
+
+    /// Snapshot index membership for commit-time delta maintenance.
+    void snapshot_indexes(const Database& db);
+    /// [offset, length) of buf that commit writes to publish the deletion:
+    /// the whole primary block (its header carries the cleared valid flag).
+    [[nodiscard]] std::pair<std::size_t, std::size_t> deletion_write(
+        std::size_t block_size) const {
+      return {0, std::min(block_size, buf.size())};
+    }
+    static void count_batch(rma::OpCounters& /*c*/, std::size_t /*holders*/) {}
   };
 
   struct EdgeState {
+    using View = layout::EdgeView;
+    static constexpr bool kIsEdge = true;
     std::vector<std::byte> buf;
-    layout::EdgeView view{buf};
+    View view{buf};
     LockState lock = LockState::kNone;  ///< lock on the *edge holder* block
     bool created = false;
     bool deleted = false;
+
+    void snapshot_indexes(const Database& /*db*/) {}  // edges join no index
+    /// Only the flags word: clearing its valid bit retires the holder.
+    [[nodiscard]] static std::pair<std::size_t, std::size_t> deletion_write(
+        std::size_t /*block_size*/) {
+      return {View::kFlagsOff, 4};
+    }
+    static void count_batch(rma::OpCounters& c, std::size_t holders) {
+      c.edge_batches += 1;
+      c.edge_batch_items += holders;
+    }
   };
 
-  // Access paths.
-  Result<VertexState*> vertex_state(VertexHandle v, bool for_write);
-  Result<EdgeState*> edge_state(EdgeHandle e, bool for_write);
-  Status acquire_vertex_lock(VertexState& st, DPtr vid, bool write);
-  Status fetch_vertex(DPtr vid, VertexState& st);
-  Status fetch_edge(DPtr eid, EdgeState& st);
+  template <class S>
+  using HolderMap = std::unordered_map<std::uint64_t, std::unique_ptr<S>>;
+  template <class S>
+  HolderMap<S>& holders() {
+    if constexpr (S::kIsEdge) return ecache_;
+    else return vcache_;
+  }
+  /// Visit every holder state, vertices first, then heavy edges.
+  template <class F>
+  void for_each_holder(F&& f) {
+    for (auto& [raw, st] : vcache_) f(DPtr{raw}, *st);
+    for (auto& [raw, st] : ecache_) f(DPtr{raw}, *st);
+  }
 
-  // --- the single lock/fetch path (tentpole) --------------------------------
+  // --- the single lock/fetch path ---------------------------------------------
   //
-  // Every vertex materialization in the system -- blocking associate/find,
-  // BatchScope::execute, kRead prefetch hints, index scans -- funnels through
-  // fetch_vertices_batch. It acquires all still-needed locks with overlapped
-  // CAS rounds, pulls every primary block in one nonblocking batch and every
-  // continuation block in a second, and installs the resulting VertexStates
-  // in vcache_. A one-element call degenerates to the blocking path (no extra
-  // flush), so single-op wrappers cost what they did before batching existed.
+  // Every holder materialization in the system -- blocking associate/find and
+  // edge access, BatchScope::execute, prefetch hints, index scans, the heavy
+  // holders behind constraint-filtered edges_of -- funnels through
+  // fetch_batch. It acquires all still-needed locks with overlapped CAS
+  // rounds (read->write upgrades of held states included), pulls every
+  // primary block in one nonblocking batch and every continuation block in a
+  // second, and installs the resulting states in holders<S>(). A one-element
+  // call degenerates to the blocking path (no extra flush), so single-op
+  // wrappers cost what they did before batching existed.
   struct FetchSpec {
-    DPtr vid;
+    DPtr id;               ///< the holder's primary block
     bool write = false;    ///< take/upgrade to the write lock
     bool required = false; ///< lock failure dooms the txn (false for hints)
   };
-  /// per[i] receives specs[i]'s outcome (kOk = state available in vcache_;
-  /// kNotFound / kTxnConflict / ... otherwise). Returns kOk unless a
-  /// *required* spec hit a transaction-critical failure, in which case the
-  /// transaction is doomed and that status is returned.
-  Status fetch_vertices_batch(std::span<const FetchSpec> specs, std::span<Status> per);
-
-  // --- the edge twin of the single lock/fetch path --------------------------
-  //
-  // Every heavy-edge materialization -- blocking associate_edge/edge property
-  // access, BatchScope edge ops, the heavy holders behind constraint-filtered
-  // edges_of -- funnels through fetch_edges_batch: overlapped lock CAS rounds
-  // for the whole set, one nonblocking batch of primary blocks plus one of
-  // continuation blocks, EdgeStates installed in ecache_. A one-element call
-  // degenerates to the blocking path, so single-op wrappers keep their cost.
-  struct EdgeFetchSpec {
-    DPtr eid;
-    bool write = false;
-    bool required = false;
-  };
-  Status fetch_edges_batch(std::span<const EdgeFetchSpec> specs, std::span<Status> per);
+  /// per[i] receives specs[i]'s outcome (kOk = state available in
+  /// holders<S>(); kNotFound / kTxnConflict / ... otherwise). Returns kOk
+  /// unless a *required* spec hit a transaction-critical failure, in which
+  /// case the transaction is doomed and that status is returned.
+  template <class S>
+  Status fetch_batch(std::span<const FetchSpec> specs, std::span<Status> per);
+  /// Access path: the state of holder `id`, fetched (a singleton
+  /// fetch_batch) on a miss; `for_write` upgrades to the write lock.
+  template <class S>
+  Result<S*> holder(DPtr id, bool for_write);
+  /// Read one holder through the block cache into `st` (kNotFound unless
+  /// the primary block carries a valid holder header).
+  template <class S>
+  Status load_holder(DPtr id, S& st);
 
   // Internal (non-wrapper) implementations used by BatchScope resolution and
   // by the blocking wrappers; bodies predate the async surface.
@@ -300,19 +337,17 @@ class Transaction {
   Result<VertexHandle> create_vertex_impl(std::uint64_t app_id, bool dht_checked);
   Result<std::vector<EdgeDesc>> edges_of_impl(VertexHandle v, DirFilter f,
                                               const Constraint* c);
-  /// Batch-populate the block cache with the holders of `vids` (primaries in
-  /// one overlapped batch, continuations in a second). Callers must hold the
+  /// Batch-populate the block cache with the holders `ids` (primaries in one
+  /// overlapped batch, continuations in a second). Callers must hold the
   /// needed locks (or run lock-free in kReadShared). No-op unless both the
   /// cache and batching are enabled. When `tainted` is non-null it receives
   /// the primary of every holder that had a continuation block *already* in
   /// the per-transaction cache -- bytes that predate the caller's seqlock
   /// bracket and therefore disqualify the holder from a lock-free
   /// shared-cache fill.
-  void populate_block_cache(std::span<const DPtr> vids,
+  template <class S>
+  void populate_block_cache(std::span<const DPtr> ids,
                             std::unordered_set<std::uint64_t>* tainted = nullptr);
-  /// Same two-round population for heavy-edge holders (EdgeView headers).
-  void populate_edge_block_cache(std::span<const DPtr> eids,
-                                 std::unordered_set<std::uint64_t>* tainted = nullptr);
   /// Serve an app-ID peek from vcache_/blk_cache_; false = caller must read.
   [[nodiscard]] bool peek_cached(DPtr vid, std::uint64_t* out);
 
@@ -359,15 +394,35 @@ class Transaction {
   [[nodiscard]] const cache::SharedBlockCache::Entry* scache_lookup(
       DPtr primary, std::uint64_t observed_word, bool want_edge);
 
-  // Capacity management.
-  Status ensure_edge_capacity(VertexState& st, std::uint32_t extra_slots);
-  Status ensure_prop_capacity(VertexState& st, std::uint32_t extra_bytes);
-  Status ensure_edge_prop_capacity(EdgeState& st, std::uint32_t extra_bytes);
+  // Capacity management. Each check either makes the room (growing the
+  // holder) or returns kNoSpace with the holder untouched, so callers reserve
+  // for every holder an operation touches before changing any of them.
+  /// Room for `extra_slots` more live edges; with `dry_run` only the check.
+  Status ensure_edge_capacity(VertexState& st, std::uint32_t extra_slots,
+                              bool dry_run = false);
+  /// Room to append `extra_bytes` of entries once the entries with id
+  /// `replaced` are dropped. Tombstones count as free room: add_entry
+  /// compacts them when the append would not fit, so the holder grows only
+  /// when its live entries need more space.
+  template <class S>
+  Status ensure_prop_capacity(S& st, std::uint32_t extra_bytes,
+                              std::uint32_t replaced = layout::kEntryFree);
+  /// Reshape a vertex holder to the given capacities, growing its block
+  /// table as needed; kNoSpace (nothing changed) when the table would
+  /// outgrow the primary block. `dry_run` only checks.
+  Status reshape_vertex(VertexState& st, std::uint32_t edge_cap, std::uint32_t prop_cap,
+                        bool dry_run);
+  /// Property-region growth of either kind, same contract as reshape_vertex.
+  Status reshape_props(VertexState& st, std::uint32_t prop_cap, bool dry_run) {
+    return reshape_vertex(st, st.view.edge_capacity(), prop_cap, dry_run);
+  }
+  Status reshape_props(EdgeState& st, std::uint32_t prop_cap, bool dry_run);
 
   // Commit helpers.
   Status commit_local();
-  Status writeback_vertex(DPtr vid, VertexState& st);
-  Status writeback_edge(DPtr eid, EdgeState& st);
+  /// Write back a holder's dirty blocks (all of them for a created holder).
+  template <class S>
+  void writeback(DPtr id, S& st);
   /// Release every held lock. With `write_through`, write unlocks go through
   /// BlockStore::write_unlock_fetch and the committed holder bytes are
   /// re-stamped into the shared cache under the fetched post-unlock version
@@ -375,10 +430,10 @@ class Transaction {
   /// abort always passes false -- an aborted buffer diverged from the window
   /// bytes and must not be stamped.
   void release_locks(bool write_through);
-  void release_holder_blocks(const std::vector<DPtr>& blocks);
   [[nodiscard]] std::uint32_t max_table_cap() const;
-  Status sync_blocks_vertex(DPtr vid, VertexState& st);   // alloc/free to match size
-  Status sync_blocks_edge(DPtr eid, EdgeState& st);
+  /// Acquire/shed blocks so the holder's block table matches its size.
+  template <class S>
+  Status sync_blocks(DPtr id, S& st);
 
   Status fail(Status s) {
     if (is_transaction_critical(s)) failed_ = true;
@@ -396,7 +451,7 @@ class Transaction {
   /// holder's lock word: such a commit must flush before unlocking (the
   /// group-commit pipeline's same-destination ordering argument fails).
   bool wb_cross_rank_ = false;
-  /// Blocks shed by holder shrinks (sync_blocks_*): recycled in commit phase
+  /// Blocks shed by holder shrinks (sync_blocks): recycled in commit phase
   /// 5 with the deletion releases -- after the writeback fence (a freed
   /// block's next owner may rewrite it, so no PUT to it may remain in
   /// flight, ours or an open epoch's) and after the shrunk header is
@@ -423,8 +478,8 @@ class Transaction {
   std::int64_t ack_v0_ = 0;
   std::int64_t ack_v1_ = 0;
 
-  std::unordered_map<std::uint64_t, std::unique_ptr<VertexState>> vcache_;
-  std::unordered_map<std::uint64_t, std::unique_ptr<EdgeState>> ecache_;
+  HolderMap<VertexState> vcache_;
+  HolderMap<EdgeState> ecache_;
   std::unordered_map<std::uint64_t, DPtr> created_ids_;  ///< app_id -> DPtr
   /// Block cache: block DPtr raw -> block bytes (block_size each).
   std::unordered_map<std::uint64_t, std::vector<std::byte>> blk_cache_;

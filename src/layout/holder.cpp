@@ -84,6 +84,20 @@ std::uint32_t entry_compact(std::vector<std::byte>& buf, std::size_t base,
   return static_cast<std::uint32_t>(dst);
 }
 
+/// Bytes of the live entries other than `except` (tombstones never count).
+std::uint32_t entry_live_bytes(const std::vector<std::byte>& buf, std::size_t base,
+                               std::uint32_t used, std::uint32_t except) {
+  std::uint32_t live = 0;
+  std::size_t off = 0;
+  while (off + 8 <= used) {
+    const std::uint32_t id = rd32(buf, base + off);
+    const auto s = static_cast<std::uint32_t>(stride(rd32(buf, base + off + 4)));
+    if (id != kEntryFree && id != except) live += s;
+    off += s;
+  }
+  return live;
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -215,6 +229,10 @@ std::size_t VertexView::compact_entries() {
   return before - after;
 }
 
+std::uint32_t VertexView::live_entry_bytes(std::uint32_t except) const {
+  return entry_live_bytes(buf_, prop_base(), prop_used(), except);
+}
+
 bool VertexView::has_label(std::uint32_t label_id) const {
   bool found = false;
   for_each_entry([&](std::uint32_t id, std::span<const std::byte> p) {
@@ -326,9 +344,9 @@ void EdgeView::init(std::vector<std::byte>& buf, DPtr origin, DPtr target,
   EdgeView e(buf);
   e.put64(0, origin.raw());
   e.put64(8, target.raw());
-  e.put32(16, 1u);  // valid
-  e.put32(20, 0);   // num_blocks
-  e.put32(24, 0);   // prop_used
+  e.put32(kFlagsOff, 1u);  // valid
+  e.put32(20, 0);          // num_blocks
+  e.put32(24, 0);          // prop_used
   e.put32(28, static_cast<std::uint32_t>(total_size - kPropBase));
   e.mark_all_dirty();
 }
@@ -337,7 +355,7 @@ void EdgeView::set_endpoints(DPtr origin, DPtr target) {
   put64(0, origin.raw());
   put64(8, target.raw());
 }
-void EdgeView::set_valid(bool v) { put32(16, v ? 1u : 0u); }
+void EdgeView::set_valid(bool v) { put32(kFlagsOff, v ? 1u : 0u); }
 void EdgeView::set_num_blocks(std::uint32_t n) { put32(20, n); }
 void EdgeView::set_block_addr(std::size_t i, DPtr p) {
   assert(i < kMaxBlocks);
@@ -369,6 +387,18 @@ int EdgeView::remove_entries(std::uint32_t id) {
   const int n = entry_remove_all(buf_, kPropBase, prop_used(), id);
   if (n) mark(kPropBase, kPropBase + prop_used());
   return n;
+}
+
+std::size_t EdgeView::compact_entries() {
+  const std::uint32_t before = prop_used();
+  const std::uint32_t after = entry_compact(buf_, kPropBase, before);
+  put32(24, after);
+  mark(kPropBase, kPropBase + before);
+  return before - after;
+}
+
+std::uint32_t EdgeView::live_entry_bytes(std::uint32_t except) const {
+  return entry_live_bytes(buf_, kPropBase, prop_used(), except);
 }
 
 bool EdgeView::has_label(std::uint32_t label_id) const {

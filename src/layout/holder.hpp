@@ -44,6 +44,14 @@ inline constexpr std::uint32_t kEntryFree = 0;
 inline constexpr std::uint32_t kEntryLabel = 2;
 inline constexpr std::uint32_t kFirstUserPtype = 16;
 
+/// One coalescing dirty byte range of a holder buffer ([lo, hi); empty when
+/// hi <= lo).
+struct DirtyRange {
+  std::size_t lo = static_cast<std::size_t>(-1);
+  std::size_t hi = 0;
+  [[nodiscard]] bool empty() const { return hi <= lo; }
+};
+
 struct EdgeRecord {
   DPtr neighbor;               ///< primary block of the other endpoint
   DPtr heavy;                  ///< edge holder (null for lightweight edges)
@@ -96,6 +104,16 @@ class VertexView {
     return DPtr{get64(kBlockTableOff + i * 8)};
   }
   void set_block_addr(std::size_t i, DPtr p);
+  /// Holder size the header describes: the bytes a fetch assembles.
+  [[nodiscard]] std::size_t stored_size() const {
+    return required_size(table_capacity(), edge_capacity(), prop_capacity());
+  }
+  /// Most blocks the holder can address: its table, and never more than
+  /// fits in the primary block (bounds the chase of a stale header).
+  [[nodiscard]] std::uint32_t block_limit(std::size_t block_size) const {
+    return std::min(table_capacity(),
+                    static_cast<std::uint32_t>((block_size - kBlockTableOff) / 8));
+  }
 
   // --- lightweight edges ------------------------------------------------------
   [[nodiscard]] EdgeRecord edge_at(std::uint32_t slot) const;
@@ -135,6 +153,9 @@ class VertexView {
   int remove_entries(std::uint32_t id);
   /// Compact the property region (drops tombstones); returns bytes reclaimed.
   std::size_t compact_entries();
+  /// Bytes the live entries would occupy after compaction, not counting
+  /// those with id `except` (the entries an update is about to replace).
+  [[nodiscard]] std::uint32_t live_entry_bytes(std::uint32_t except = kEntryFree) const;
 
   template <class F>
   void for_each_entry(F&& f) const {  // f(id, span payload)
@@ -175,11 +196,6 @@ class VertexView {
   // would force commit to rewrite every block in between. Two ranges keep
   // the paper's "track dirty blocks" guarantee for the common access shapes
   // (O(1) bookkeeping, write-back touches only genuinely dirty blocks).
-  struct DirtyRange {
-    std::size_t lo = static_cast<std::size_t>(-1);
-    std::size_t hi = 0;
-    [[nodiscard]] bool empty() const { return hi <= lo; }
-  };
   [[nodiscard]] std::array<DirtyRange, 2> dirty_ranges() const { return dirty_; }
   [[nodiscard]] std::size_t dirty_lo() const {
     return std::min(dirty_[0].lo, dirty_[1].lo);
@@ -251,6 +267,7 @@ class VertexView {
 class EdgeView {
  public:
   static constexpr std::size_t kHeaderSize = 48;
+  static constexpr std::size_t kFlagsOff = 16;  ///< u32 flags word (bit 0: valid)
   static constexpr std::size_t kMaxBlocks = 4;
   static constexpr std::size_t kBlockTableOff = kHeaderSize;
   static constexpr std::size_t kPropBase = kBlockTableOff + kMaxBlocks * 8;  // 80
@@ -266,7 +283,7 @@ class EdgeView {
   [[nodiscard]] DPtr origin() const { return DPtr{get64(0)}; }
   [[nodiscard]] DPtr target() const { return DPtr{get64(8)}; }
   void set_endpoints(DPtr origin, DPtr target);
-  [[nodiscard]] bool valid() const { return (get32(16) & 1u) != 0; }
+  [[nodiscard]] bool valid() const { return (get32(kFlagsOff) & 1u) != 0; }
   void set_valid(bool v);
   [[nodiscard]] std::uint32_t num_blocks() const { return get32(20); }
   void set_num_blocks(std::uint32_t n);
@@ -276,10 +293,21 @@ class EdgeView {
     return DPtr{get64(kBlockTableOff + i * 8)};
   }
   void set_block_addr(std::size_t i, DPtr p);
+  /// Holder size the header describes: the bytes a fetch assembles.
+  [[nodiscard]] std::size_t stored_size() const { return required_size(prop_capacity()); }
+  /// Most blocks the holder can address (the fixed block table).
+  [[nodiscard]] static std::uint32_t block_limit(std::size_t /*block_size*/) {
+    return kMaxBlocks;
+  }
 
   [[nodiscard]] Status add_entry(std::uint32_t id, std::span<const std::byte> payload);
   bool remove_entry(std::uint32_t id, const std::byte* payload, std::size_t n);
   int remove_entries(std::uint32_t id);
+  /// Compact the property region (drops tombstones); returns bytes reclaimed.
+  std::size_t compact_entries();
+  /// Bytes the live entries would occupy after compaction, not counting
+  /// those with id `except` (the entries an update is about to replace).
+  [[nodiscard]] std::uint32_t live_entry_bytes(std::uint32_t except = kEntryFree) const;
 
   template <class F>
   void for_each_entry(F&& f) const {
@@ -302,13 +330,11 @@ class EdgeView {
 
   [[nodiscard]] Status reshape(std::uint32_t new_prop_cap);
 
-  [[nodiscard]] std::size_t dirty_lo() const { return dirty_lo_; }
-  [[nodiscard]] std::size_t dirty_hi() const { return dirty_hi_; }
-  [[nodiscard]] bool is_dirty() const { return dirty_hi_ > dirty_lo_; }
-  void reset_dirty() {
-    dirty_lo_ = static_cast<std::size_t>(-1);
-    dirty_hi_ = 0;
-  }
+  /// One coalescing range (edge holders are at most kMaxBlocks blocks); the
+  /// second slot is always empty, matching VertexView's two-range shape.
+  [[nodiscard]] std::array<DirtyRange, 2> dirty_ranges() const { return {dirty_, {}}; }
+  [[nodiscard]] bool is_dirty() const { return !dirty_.empty(); }
+  void reset_dirty() { dirty_ = {}; }
   void mark_all_dirty() { mark(0, buf_.size()); }
   [[nodiscard]] std::size_t size() const { return buf_.size(); }
 
@@ -332,13 +358,12 @@ class EdgeView {
     mark(off, off + 4);
   }
   void mark(std::size_t lo, std::size_t hi) {
-    if (lo < dirty_lo_) dirty_lo_ = lo;
-    if (hi > dirty_hi_) dirty_hi_ = hi;
+    dirty_.lo = std::min(dirty_.lo, lo);
+    dirty_.hi = std::max(dirty_.hi, hi);
   }
 
   std::vector<std::byte>& buf_;
-  std::size_t dirty_lo_ = static_cast<std::size_t>(-1);
-  std::size_t dirty_hi_ = 0;
+  DirtyRange dirty_{};
 };
 
 }  // namespace gdi::layout

@@ -8,7 +8,8 @@
 //  * lost update -- N sessions each submit kIncrement read-modify-writes on
 //    ONE vertex; serializability demands the final value equal the number of
 //    successfully acknowledged increments, exactly (any lost update would
-//    leave it short);
+//    leave it short), including on a single-key stream long enough that the
+//    holder must recycle the room of the values it overwrites;
 //  * dirty read / fractured read -- writers keep two vertices equal with
 //    atomic kWritePair transactions while readers snapshot both in one
 //    kReadPair transaction; every acknowledged read must observe v0 == v1
@@ -140,6 +141,22 @@ TEST(AcidAudit, NoLostUpdateSingleRank) {
     // One rank thread serializes execution: nothing can conflict, and the
     // counter must hold exactly one unit per acknowledged increment.
     EXPECT_EQ(okc, 100u);
+    self.barrier();
+    EXPECT_EQ(read_value(db, self, 0, pt), static_cast<std::int64_t>(okc));
+  });
+}
+
+TEST(AcidAudit, NoLostUpdateOnLongOneKeyStream) {
+  // One key, 4,000 increments at P=1: far more updates of one holder than
+  // its property region starts with room for. A write the holder could not
+  // take must come back as a failure, never as a kOk that the value lacks.
+  rma::Runtime rt(1);
+  rt.run([&](rma::Rank& self) {
+    auto db = Database::create(self, audit_cfg());
+    const std::uint32_t pt = load_vertices(db, self, 1, 0);
+    const std::uint64_t okc = run_increment_audit(db, self, /*tenants=*/1,
+                                                  /*per_tenant=*/4000, pt);
+    EXPECT_EQ(okc, 4000u);
     self.barrier();
     EXPECT_EQ(read_value(db, self, 0, pt), static_cast<std::int64_t>(okc));
   });

@@ -1,10 +1,11 @@
 // Tests for the shared version-validated block cache (src/cache/) and the
-// batched heavy-edge fetch path (Transaction::fetch_edges_batch).
+// batched heavy-edge fetch (the holder fetch path run over edge holders).
 //
 // Invariants pinned here:
 //  * zero stale reads: a concurrent writer's commit bumps the lock-word
 //    version, so a later reader either misses the cache or sees bytes proven
-//    current -- hammered by a writer/reader pair under ASan/UBSan in CI;
+//    current -- hammered by a writer/reader pair under ASan/UBSan in CI, over
+//    vertex and heavy-edge holders alike;
 //  * lock-free (kReadShared) fills follow the seqlock bracket: a fill racing
 //    a writer is discarded, never stamped with a current version;
 //  * hit/miss/validation/invalidation counters behave as documented;
@@ -39,61 +40,151 @@ DatabaseConfig make_cfg(bool shared, std::size_t bytes = 4096 * 512) {
 }
 
 // ---------------------------------------------------------------------------
-// Coherence: version bump => miss, never a stale serve
+// Coherence: version bump => miss, never a stale serve (both holder kinds)
 // ---------------------------------------------------------------------------
 
-TEST(SharedCache, ConcurrentWriterNeverYieldsStaleOrTornReads) {
+enum class HolderKind : std::uint8_t { kVertex, kHeavyEdge };
+
+/// The holders a coherence test hammers, one per app id: the vertex itself,
+/// or the heavy self-loop edge that vertex anchors. Property access, lock +
+/// fetch and the lock-free scan go through the kind's own API, so both runs
+/// exercise the one holder fetch/validation/fill path.
+struct Holders {
+  HolderKind kind;
+  std::vector<std::uint64_t> ids;
+  std::vector<DPtr> heavy;  ///< per id, learned by resolve()
+
+  /// Create every holder with each property in `pts` set to 0.
+  void create(Transaction& w, std::initializer_list<std::uint32_t> pts) const {
+    for (std::uint64_t id : ids) {
+      auto v = w.create_vertex(id);
+      EXPECT_TRUE(v.ok());
+      if (!v.ok()) continue;
+      DPtr h = v->vid;
+      if (kind == HolderKind::kHeavyEdge) {
+        auto e = w.create_heavy_edge(*v, *v, layout::Dir::kOut);
+        EXPECT_TRUE(e.ok());
+        h = e.ok() ? e->eid : DPtr{};
+      }
+      for (std::uint32_t pt : pts) EXPECT_EQ(write(w, h, pt, 0), Status::kOk);
+    }
+  }
+  /// Learn the heavy holders' addresses once the creating commit is visible.
+  void resolve(const std::shared_ptr<Database>& db, rma::Rank& self) {
+    if (kind == HolderKind::kVertex) return;
+    Transaction r(db, self, TxnMode::kRead);
+    for (std::uint64_t id : ids) {
+      auto v = r.find_vertex(id);
+      EXPECT_TRUE(v.ok());
+      auto edges = v.ok() ? r.edges_of(*v, DirFilter::kOut)
+                          : Result<std::vector<EdgeDesc>>(v.status());
+      EXPECT_TRUE(edges.ok() && edges->size() == 1);
+      heavy.push_back(edges.ok() && !edges->empty() ? (*edges)[0].heavy : DPtr{});
+    }
+    EXPECT_EQ(r.commit(), Status::kOk);
+  }
+  /// Lock + fetch holder i (find_vertex / associate_edge).
+  Result<DPtr> open(Transaction& t, std::size_t i) const {
+    if (kind == HolderKind::kVertex) {
+      auto v = t.find_vertex(ids[i]);
+      if (!v.ok()) return v.status();
+      return v->vid;
+    }
+    auto e = t.associate_edge(heavy[i]);
+    if (!e.ok()) return e.status();
+    return e->eid;
+  }
+  Status write(Transaction& t, DPtr h, std::uint32_t pt, std::int64_t v) const {
+    return kind == HolderKind::kVertex
+               ? t.update_property(VertexHandle{h}, pt, PropValue{v})
+               : t.update_edge_property(EdgeHandle{h}, pt, PropValue{v});
+  }
+  Result<std::vector<PropValue>> read(Transaction& t, DPtr h, std::uint32_t pt) const {
+    return kind == HolderKind::kVertex ? t.get_properties(VertexHandle{h}, pt)
+                                       : t.get_edge_properties(EdgeHandle{h}, pt);
+  }
+  /// kReadShared scan: one prefetch round for every holder, then associate
+  /// each (the lock-free fills the seqlock bracket must keep honest).
+  void scan(Transaction& t) const {
+    if (kind == HolderKind::kHeavyEdge) {
+      t.prefetch_edges(heavy);
+      for (DPtr e : heavy) (void)t.associate_edge(e);
+      return;
+    }
+    std::vector<DPtr> vids;
+    for (std::uint64_t id : ids) {
+      auto vid = t.translate_vertex_id(id);
+      if (vid.ok()) vids.push_back(*vid);
+    }
+    t.prefetch_vertices(vids);
+    for (DPtr v : vids) (void)t.associate_vertex(v);
+  }
+};
+
+class Coherence : public ::testing::TestWithParam<HolderKind> {};
+INSTANTIATE_TEST_SUITE_P(HolderKinds, Coherence,
+                         ::testing::Values(HolderKind::kVertex, HolderKind::kHeavyEdge),
+                         [](const ::testing::TestParamInfo<HolderKind>& i) {
+                           return i.param == HolderKind::kVertex ? "Vertex" : "HeavyEdge";
+                         });
+
+TEST_P(Coherence, ConcurrentWriterNeverYieldsStaleOrTornReads) {
   // Rank 0 commits monotonically increasing values to two properties of one
-  // vertex (same holder, atomic commit); rank 1 re-reads it through kRead
-  // transactions with the shared cache on. Any stale cache serve would show
-  // a regressing value; any torn serve would show the two properties
-  // disagreeing. Both must be impossible: the writer's unlock bumps the
-  // version the reader's lock CAS observes.
+  // holder (atomic commit); rank 1 re-reads it through kRead transactions
+  // with the shared cache on. Any stale cache serve would show a regressing
+  // value; any torn serve would show the two properties disagreeing. Both
+  // must be impossible: the writer's unlock bumps the version the reader's
+  // lock CAS observes.
   rma::Runtime rt(2);
   constexpr std::int64_t kRounds = 200;
+  std::atomic<bool> writer_failed{false};  // outside run(): shared across ranks
   rt.run([&](rma::Rank& self) {
     auto db = Database::create(self, make_cfg(true));
     PropertyType pd{.name = "a", .dtype = Datatype::kInt64};
     PropertyType pd2{.name = "b", .dtype = Datatype::kInt64};
     const std::uint32_t pa = *db->create_ptype(self, pd);
     const std::uint32_t pb = *db->create_ptype(self, pd2);
+    Holders hs{GetParam(), {7}, {}};
     if (self.id() == 0) {
       Transaction w(db, self, TxnMode::kWrite);
-      auto v = w.create_vertex(7);
-      EXPECT_TRUE(v.ok());
-      EXPECT_EQ(w.update_property(*v, pa, PropValue{std::int64_t{0}}), Status::kOk);
-      EXPECT_EQ(w.update_property(*v, pb, PropValue{std::int64_t{0}}), Status::kOk);
+      hs.create(w, {pa, pb});
       EXPECT_EQ(w.commit(), Status::kOk);
     }
+    self.barrier();
+    hs.resolve(db, self);
     self.barrier();
 
     if (self.id() == 0) {
       for (std::int64_t i = 1; i <= kRounds;) {
         Transaction w(db, self, TxnMode::kWrite);
-        auto vh = w.find_vertex(7);
-        if (!vh.ok()) {
+        auto h = hs.open(w, 0);
+        if (!h.ok()) {
           w.abort();
           continue;  // reader holds the lock; retry
         }
-        if (!ok(w.update_property(*vh, pa, PropValue{i})) ||
-            !ok(w.update_property(*vh, pb, PropValue{i})) ||
-            !ok(w.commit())) {
-          continue;
+        Status s = hs.write(w, *h, pa, i);
+        if (ok(s)) s = hs.write(w, *h, pb, i);
+        if (ok(s)) s = w.commit();
+        if (!ok(s) && !is_transaction_critical(s)) {
+          // Only a lock conflict may be retried; anything else would spin.
+          ADD_FAILURE() << "write round " << i << " failed: " << to_string(s);
+          writer_failed.store(true);
+          break;
         }
-        ++i;
+        if (ok(s)) ++i;
       }
     } else {
       std::int64_t last_seen = 0;
       bool violation = false;
-      while (last_seen < kRounds && !violation) {
+      while (last_seen < kRounds && !violation && !writer_failed.load()) {
         Transaction r(db, self, TxnMode::kRead);
-        auto vh = r.find_vertex(7);
-        if (!vh.ok()) {
+        auto h = hs.open(r, 0);
+        if (!h.ok()) {
           r.abort();
           continue;  // writer holds the lock; retry
         }
-        auto a = r.get_properties(*vh, pa);
-        auto b = r.get_properties(*vh, pb);
+        auto a = hs.read(r, *h, pa);
+        auto b = hs.read(r, *h, pb);
         if (a.ok() && b.ok() && !a->empty() && !b->empty()) {
           const auto va = std::get<std::int64_t>((*a)[0]);
           const auto vb = std::get<std::int64_t>((*b)[0]);
@@ -110,7 +201,7 @@ TEST(SharedCache, ConcurrentWriterNeverYieldsStaleOrTornReads) {
   });
 }
 
-TEST(SharedCache, ReadSharedFillsSurviveWriterButNeverGoStale) {
+TEST_P(Coherence, ReadSharedFillsSurviveWriterButNeverGoStale) {
   // kReadShared scans fill the cache lock-free under the seqlock bracket
   // while rank 0 keeps writing. Afterwards (writer quiesced) a kRead pass
   // must observe the final values -- a torn or stale fill that survived with
@@ -123,27 +214,28 @@ TEST(SharedCache, ReadSharedFillsSurviveWriterButNeverGoStale) {
     auto db = Database::create(self, make_cfg(true));
     PropertyType pd{.name = "a", .dtype = Datatype::kInt64};
     const std::uint32_t pt = *db->create_ptype(self, pd);
+    Holders hs{GetParam(), {}, {}};
+    for (std::uint64_t i = 0; i < kN; ++i) hs.ids.push_back(i);
     {
       Transaction w(db, self, TxnMode::kWrite, TxnScope::kCollective);
-      if (self.id() == 0) {
-        for (std::uint64_t i = 0; i < kN; ++i) {
-          auto v = w.create_vertex(i);
-          EXPECT_TRUE(v.ok());
-          EXPECT_EQ(w.update_property(*v, pt, PropValue{std::int64_t{0}}), Status::kOk);
-        }
-      }
+      if (self.id() == 0) hs.create(w, {pt});
       EXPECT_EQ(w.commit(), Status::kOk);
     }
+    self.barrier();
+    hs.resolve(db, self);
     self.barrier();
 
     if (self.id() == 0) {
       for (std::int64_t i = 1; i <= kRounds;) {
         Transaction w(db, self, TxnMode::kWrite);
-        auto vh = w.find_vertex(static_cast<std::uint64_t>(i) % kN);
-        if (vh.ok() && ok(w.update_property(*vh, pt, PropValue{i})) &&
-            ok(w.commit())) {
-          ++i;
+        auto h = hs.open(w, static_cast<std::size_t>(i) % kN);
+        Status s = h.ok() ? hs.write(w, *h, pt, i) : h.status();
+        if (ok(s)) s = w.commit();
+        if (!ok(s) && !is_transaction_critical(s)) {
+          ADD_FAILURE() << "write round " << i << " failed: " << to_string(s);
+          break;
         }
+        if (ok(s)) ++i;
       }
       done.store(true);
     } else {
@@ -152,13 +244,7 @@ TEST(SharedCache, ReadSharedFillsSurviveWriterButNeverGoStale) {
       // requires that no *fill* outlives its validity.
       while (!done.load()) {
         Transaction r(db, self, TxnMode::kReadShared);
-        std::vector<DPtr> vids;
-        for (std::uint64_t i = 0; i < kN; ++i) {
-          auto vid = r.translate_vertex_id(i);
-          if (vid.ok()) vids.push_back(*vid);
-        }
-        r.prefetch_vertices(vids);
-        for (DPtr v : vids) (void)r.associate_vertex(v);
+        hs.scan(r);
         (void)r.commit();
       }
     }
@@ -169,10 +255,10 @@ TEST(SharedCache, ReadSharedFillsSurviveWriterButNeverGoStale) {
       for (std::int64_t i = kRounds - static_cast<std::int64_t>(kN) + 1; i <= kRounds;
            ++i) {
         if (i <= 0) continue;
-        auto vh = r.find_vertex(static_cast<std::uint64_t>(i) % kN);
-        EXPECT_TRUE(vh.ok());
-        if (!vh.ok()) continue;
-        auto p = r.get_properties(*vh, pt);
+        auto h = hs.open(r, static_cast<std::size_t>(i) % kN);
+        EXPECT_TRUE(h.ok());
+        if (!h.ok()) continue;
+        auto p = hs.read(r, *h, pt);
         EXPECT_TRUE(p.ok());
         if (p.ok() && !p->empty())
           EXPECT_EQ(std::get<std::int64_t>((*p)[0]), i) << "stale fill survived";

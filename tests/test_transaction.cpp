@@ -696,6 +696,130 @@ TEST(Txn, VolatileHandleInvalidAfterClose) {
   });
 }
 
+// ---------------------------------------------------------------------------
+// Soft failures leave no half-applied holder
+// ---------------------------------------------------------------------------
+
+TEST(Txn, RepeatedUpdatesReuseTombstonedRoom) {
+  // Every update tombstones the old entry. The holder must reuse that room
+  // instead of growing until kNoSpace -- on 512-byte blocks a vertex used to
+  // run out after ~1,700 updates of one int64 property, a heavy edge after
+  // ~100, and the failing update had already dropped the old value.
+  rma::Runtime rt(1);
+  rt.run([&](rma::Rank& self) {
+    auto db = Database::create(self, test_db(512, 2048));
+    PropertyType vp{.name = "count", .dtype = Datatype::kInt64};
+    PropertyType ep{.name = "weight", .dtype = Datatype::kInt64,
+                    .etype = EntityType::kEdge};
+    const std::uint32_t pv = *db->create_ptype(self, vp);
+    const std::uint32_t pe = *db->create_ptype(self, ep);
+    EdgeHandle e;
+    {
+      Transaction w(db, self, TxnMode::kWrite);
+      auto a = *w.create_vertex(1);
+      auto b = *w.create_vertex(2);
+      e = *w.create_heavy_edge(a, b, Dir::kOut);
+      EXPECT_EQ(w.commit(), Status::kOk);
+    }
+    const std::uint64_t blocks_before = db->blocks().allocated_count(self, 0);
+    constexpr std::int64_t kUpdates = 4000;
+    std::int64_t vertex_ok = 0;
+    std::int64_t edge_ok = 0;
+    for (std::int64_t i = 1; i <= kUpdates; ++i) {
+      Transaction w(db, self, TxnMode::kWrite);
+      vertex_ok += ok(w.update_property(txn_find(w, 1), pv, PropValue{i})) ? 1 : 0;
+      edge_ok += ok(w.update_edge_property(e, pe, PropValue{i})) ? 1 : 0;
+      EXPECT_EQ(w.commit(), Status::kOk);
+    }
+    EXPECT_EQ(vertex_ok, kUpdates);
+    EXPECT_EQ(edge_ok, kUpdates);
+    EXPECT_EQ(db->blocks().allocated_count(self, 0), blocks_before)
+        << "updates of one fixed-size value must not grow the holders";
+    Transaction r(db, self, TxnMode::kRead);
+    auto vprops = r.get_properties(txn_find(r, 1), pv);
+    auto eprops = r.get_edge_properties(e, pe);
+    ASSERT_TRUE(vprops.ok() && eprops.ok());
+    ASSERT_EQ(vprops->size(), 1u);
+    ASSERT_EQ(eprops->size(), 1u);
+    EXPECT_EQ(std::get<std::int64_t>((*vprops)[0]), kUpdates);
+    EXPECT_EQ(std::get<std::int64_t>((*eprops)[0]), kUpdates);
+  });
+}
+
+TEST(Txn, OversizedUpdateFailsAndKeepsOldValue) {
+  // 512-byte blocks cap a vertex holder at 58 blocks (its block table must
+  // fit the primary block) and a heavy-edge holder at 4. An update too large
+  // for either returns kNoSpace; the old value must survive the commit.
+  rma::Runtime rt(1);
+  rt.run([&](rma::Rank& self) {
+    auto db = Database::create(self, test_db(512, 2048));
+    PropertyType vp{.name = "name", .dtype = Datatype::kString};
+    PropertyType ep{.name = "note", .dtype = Datatype::kString,
+                    .etype = EntityType::kEdge};
+    const std::uint32_t pv = *db->create_ptype(self, vp);
+    const std::uint32_t pe = *db->create_ptype(self, ep);
+    EdgeHandle e;
+    {
+      Transaction w(db, self, TxnMode::kWrite);
+      auto a = *w.create_vertex(1);
+      auto b = *w.create_vertex(2);
+      e = *w.create_heavy_edge(a, b, Dir::kOut);
+      EXPECT_EQ(w.update_property(a, pv, PropValue{std::string("old")}), Status::kOk);
+      EXPECT_EQ(w.update_edge_property(e, pe, PropValue{std::string("old")}), Status::kOk);
+      EXPECT_EQ(w.commit(), Status::kOk);
+    }
+    {
+      Transaction w(db, self, TxnMode::kWrite);
+      EXPECT_EQ(w.update_property(txn_find(w, 1), pv, PropValue{std::string(40000, 'x')}),
+                Status::kNoSpace);
+      EXPECT_EQ(w.update_edge_property(e, pe, PropValue{std::string(4096, 'x')}),
+                Status::kNoSpace);
+      EXPECT_EQ(w.commit(), Status::kOk);
+    }
+    Transaction r(db, self, TxnMode::kRead);
+    auto vprops = r.get_properties(txn_find(r, 1), pv);
+    auto eprops = r.get_edge_properties(e, pe);
+    ASSERT_TRUE(vprops.ok() && eprops.ok());
+    ASSERT_EQ(vprops->size(), 1u);
+    ASSERT_EQ(eprops->size(), 1u);
+    EXPECT_EQ(std::get<std::string>((*vprops)[0]), "old");
+    EXPECT_EQ(std::get<std::string>((*eprops)[0]), "old");
+  });
+}
+
+TEST(Txn, HeavyEdgeIntoFullHubChangesNeitherEndpoint) {
+  // Fill a hub to its degree limit with undirected self-loops (one record
+  // each), then anchor a heavy edge at it from either side: both calls fail
+  // with kNoSpace, and the commit publishes no record and no edge holder.
+  rma::Runtime rt(1);
+  rt.run([&](rma::Rank& self) {
+    auto db = Database::create(self, test_db(512, 2048));
+    std::size_t hub_degree = 0;
+    {
+      Transaction w(db, self, TxnMode::kWrite);
+      auto hub = *w.create_vertex(0);
+      EXPECT_TRUE(w.create_vertex(1).ok());
+      while (w.create_edge(hub, hub, Dir::kUndirected).ok()) ++hub_degree;
+      EXPECT_EQ(w.commit(), Status::kOk);
+    }
+    EXPECT_GT(hub_degree, 1000u);
+    const std::uint64_t blocks_before = db->blocks().allocated_count(self, 0);
+    {
+      Transaction w(db, self, TxnMode::kWrite);
+      auto hub = txn_find(w, 0);
+      auto a = txn_find(w, 1);
+      EXPECT_EQ(w.create_heavy_edge(a, hub, Dir::kOut).status(), Status::kNoSpace);
+      EXPECT_EQ(w.create_heavy_edge(hub, a, Dir::kOut).status(), Status::kNoSpace);
+      EXPECT_EQ(w.commit(), Status::kOk);
+    }
+    EXPECT_EQ(db->blocks().allocated_count(self, 0), blocks_before)
+        << "a failed heavy-edge create must not leave its holder behind";
+    Transaction r(db, self, TxnMode::kRead);
+    EXPECT_EQ(*r.count_edges(txn_find(r, 1), DirFilter::kAll), 0u);
+    EXPECT_EQ(*r.count_edges(txn_find(r, 0), DirFilter::kAll), hub_degree);
+  });
+}
+
 class TxnConcurrent : public ::testing::TestWithParam<int> {};
 INSTANTIATE_TEST_SUITE_P(Ranks, TxnConcurrent, ::testing::Values(2, 4, 8));
 
