@@ -7,8 +7,9 @@
 // with the label stored in the holder -- so a label-constrained edges_of
 // must fetch every direction-matching heavy holder to evaluate the filter,
 // which is exactly the access the ROADMAP's "Batched edge-holder fetch"
-// item wanted overlapped. The serial baseline is batched_reads=false (each
-// holder pays its own lock CAS + GET chain).
+// item wanted overlapped. The serial reference runs the same filter by hand,
+// one heavy holder per edge_labels_of call: a one-holder fetch is a blocking
+// lock CAS + GET chain, so each holder pays its own latencies.
 //
 // Emits a paper-style table plus a JSON blob (committed as BENCH_pr4.json).
 #include "harness.hpp"
@@ -34,6 +35,7 @@ int main() {
     std::uint64_t flushes = 0;
     std::uint64_t edge_batches = 0;
     std::uint64_t edge_batch_items = 0;
+    std::uint64_t matched = 0;
   };
   Row serial, batched;
 
@@ -43,13 +45,13 @@ int main() {
       SetupOpts o;
       o.scale = scale;
       o.heavy_edge_fraction = 0.5;
-      o.batched_reads = c.batched;
       o.shared_cache = false;  // isolate the batching effect
       auto env = setup_db(self, o);
       // Every rank scans a slice of vertices with a label-constrained
       // edges_of; labels of heavy edges live in their holders, so the filter
       // forces the heavy fetches.
-      const Constraint cn = Constraint::with_label(env.label_ids[1 % env.label_ids.size()]);
+      const std::uint32_t label = env.label_ids[1 % env.label_ids.size()];
+      const Constraint cn = Constraint::with_label(label);
       std::uint64_t matched = 0;
       self.barrier();
       self.reset_clock();
@@ -62,14 +64,28 @@ int main() {
               env.n;
           auto vh = txn.find_vertex(id);
           if (!vh.ok()) continue;
-          auto edges = txn.edges_of(*vh, DirFilter::kAll, &cn);
-          if (edges.ok()) matched += edges->size();
+          if (c.batched) {
+            auto edges = txn.edges_of(*vh, DirFilter::kAll, &cn);
+            if (edges.ok()) matched += edges->size();
+            continue;
+          }
+          auto edges = txn.edges_of(*vh, DirFilter::kAll);
+          if (!edges.ok()) continue;
+          for (const auto& e : *edges) {
+            if (e.heavy.is_null()) {
+              if (cn.matches_lw_edge(e.label_id)) ++matched;
+              continue;
+            }
+            auto labels = txn.edge_labels_of(EdgeHandle{e.heavy});
+            if (labels.ok() && std::ranges::find(*labels, label) != labels->end())
+              ++matched;
+          }
         }
         (void)txn.commit();
       }
       const double t = self.allreduce_max(self.sim_time_ns());
       auto counters = global_counters(self);
-      (void)self.allreduce_sum(matched);  // keep ranks in lockstep
+      matched = self.allreduce_sum(matched);
       if (self.id() == 0) {
         Row& row = c.batched ? batched : serial;
         row.time_ns = t;
@@ -77,6 +93,7 @@ int main() {
         row.flushes = counters.flushes;
         row.edge_batches = counters.edge_batches;
         row.edge_batch_items = counters.edge_batch_items;
+        row.matched = matched;
       }
     });
   }
@@ -97,6 +114,12 @@ int main() {
                  stats::Table::fmt(avg(batched), 1)});
   std::cout << table.to_string();
   std::cout << "speedup: " << stats::Table::fmt(speedup, 2) << "x\n";
+  std::cout << "matched edges: serial " << serial.matched << ", batched " << batched.matched
+            << "\n";
+  if (serial.matched != batched.matched) {
+    std::cerr << "error: the serial and batched scans matched different edge sets\n";
+    return 1;
+  }
 
   std::cout << "\nJSON:\n{\n"
             << "  \"bench\": \"pr4_edge_batch\",\n"

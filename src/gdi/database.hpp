@@ -47,13 +47,6 @@ struct DatabaseConfig {
   std::size_t index_capacity_per_rank = 1u << 16;
   int lock_attempts = 8;  ///< bounded lock retries before a txn conflict abort
   Partitioning partitioning = Partitioning::kRoundRobin;
-  /// Issue read-side holder/DHT fetches through the nonblocking batch engine
-  /// (overlapped max(alpha)+sum(beta*bytes) cost). Off = the seed's serial
-  /// one-latency-per-GET behaviour; results are identical either way.
-  bool batched_reads = true;
-  /// Per-transaction read-through block cache (invalidated on the
-  /// transaction's own writes, dropped at commit/abort).
-  bool block_cache = true;
   /// Shared (inter-transaction) version-validated holder cache, one per rank
   /// (see src/cache/shared_cache.hpp). Hits skip a holder's block fetches
   /// entirely; correctness comes from lock-word version validation, so reads

@@ -52,9 +52,6 @@ std::uint32_t Transaction::max_table_cap() const {
 // Block cache & batched reads
 // ---------------------------------------------------------------------------
 
-bool Transaction::cache_enabled() const { return db_->config().block_cache; }
-bool Transaction::batching_enabled() const { return db_->config().batched_reads; }
-
 void Transaction::scache_invalidate(DPtr primary) {
   if (auto* sc = scache(); sc != nullptr && sc->erase(primary))
     self_.counters().scache_invalidations += 1;
@@ -98,10 +95,6 @@ const cache::SharedBlockCache::Entry* Transaction::scache_lookup(
 void Transaction::cache_read_block(DPtr blk, void* dst) {
   auto& blocks = db_->blocks();
   const std::size_t B = blocks.block_size();
-  if (!cache_enabled()) {
-    blocks.read_block(self_, blk, dst);
-    return;
-  }
   auto it = blk_cache_.find(blk.raw());
   if (it != blk_cache_.end()) {
     std::memcpy(dst, it->second.data(), B);
@@ -129,13 +122,11 @@ void Transaction::read_tail_blocks(std::vector<std::byte>& buf, std::size_t tota
     const std::size_t lo = i * B;
     const std::size_t n = std::min(B, total - lo);
     const DPtr blk = addr_of(i);
-    if (cache_enabled()) {
-      auto it = blk_cache_.find(blk.raw());
-      if (it != blk_cache_.end()) {
-        std::memcpy(buf.data() + lo, it->second.data(), n);
-        self_.counters().cache_hits += 1;
-        continue;
-      }
+    auto it = blk_cache_.find(blk.raw());
+    if (it != blk_cache_.end()) {
+      std::memcpy(buf.data() + lo, it->second.data(), n);
+      self_.counters().cache_hits += 1;
+      continue;
     }
     misses.push_back(Miss{blk, lo, n});
   }
@@ -146,7 +137,7 @@ void Transaction::read_tail_blocks(std::vector<std::byte>& buf, std::size_t tota
   // overlapped latency plus a completion fence (the same singleton rule the
   // lock and fetch batches follow).
   std::vector<std::byte> scratch(misses.size() * B);
-  if (batching_enabled() && misses.size() > 1) {
+  if (misses.size() > 1) {
     std::vector<block::BlockStore::BlockReadOp> ops;
     ops.reserve(misses.size());
     for (std::size_t j = 0; j < misses.size(); ++j)
@@ -159,12 +150,9 @@ void Transaction::read_tail_blocks(std::vector<std::byte>& buf, std::size_t tota
   for (std::size_t j = 0; j < misses.size(); ++j) {
     const Miss& m = misses[j];
     std::memcpy(buf.data() + m.lo, scratch.data() + j * B, m.n);
-    if (cache_enabled()) {
-      self_.counters().cache_misses += 1;
-      blk_cache_.emplace(m.blk.raw(),
-                         std::vector<std::byte>(scratch.data() + j * B,
-                                                scratch.data() + (j + 1) * B));
-    }
+    self_.counters().cache_misses += 1;
+    blk_cache_.emplace(m.blk.raw(), std::vector<std::byte>(scratch.data() + j * B,
+                                                           scratch.data() + (j + 1) * B));
   }
 }
 
@@ -235,7 +223,7 @@ Result<std::vector<DPtr>> Transaction::translate_ids_impl(
   // the chain blocking, exactly like translate_vertex_id. Resolved keys
   // re-teach the memo under `ep`, which was observed no later than the walk
   // that verified them (the conservative direction -- see shared_cache.hpp).
-  if (batching_enabled() && need.size() > 1) {
+  if (need.size() > 1) {
     auto vals = dht.lookup_many(self_, need);
     for (std::size_t j = 0; j < need.size(); ++j)
       if (vals[j]) {
@@ -286,7 +274,6 @@ template <class S>
 void Transaction::populate_block_cache(std::span<const DPtr> ids,
                                        std::unordered_set<std::uint64_t>* tainted) {
   if (!active_ || failed_) return;
-  if (!cache_enabled() || !batching_enabled()) return;
 
   auto& blocks = db_->blocks();
   const std::size_t B = blocks.block_size();
@@ -436,13 +423,13 @@ Status Transaction::fetch_batch(std::span<const FetchSpec> specs, std::span<Stat
     }
     spec_item[i] = it->second;
   }
-  if (batching_enabled() && items.size() > 1) S::count_batch(self_.counters(), items.size());
+  if (items.size() > 1) S::count_batch(self_.counters(), items.size());
 
   // Phase 0: batched write-lock upgrades for re-touched read-locked states
   // (one overlapped CAS round set instead of one serial upgrade per holder).
   if (!upg_ids.empty()) {
     std::vector<std::uint8_t> got;
-    if (batching_enabled() && upg_ids.size() > 1) {
+    if (upg_ids.size() > 1) {
       got = blocks.try_upgrade_many(self_, upg_ids, attempts);
     } else {
       got.assign(upg_ids.size(), 0);
@@ -509,8 +496,7 @@ Status Transaction::fetch_batch(std::span<const FetchSpec> specs, std::span<Stat
       }
       return got;
     };
-    const bool batch_locks =
-        batching_enabled() && read_idx.size() + write_idx.size() > 1;
+    const bool batch_locks = read_idx.size() + write_idx.size() > 1;
     std::vector<std::uint8_t> got_r;
     std::vector<std::uint8_t> got_w;
     std::vector<std::uint64_t> words_r;
@@ -584,7 +570,7 @@ Status Transaction::fetch_batch(std::span<const FetchSpec> specs, std::span<Stat
         }
       if (!pv.empty()) {
         std::vector<std::uint64_t> pw(pv.size(), 0);
-        blocks.peek_lock_words(self_, pv, pw, batching_enabled());
+        blocks.peek_lock_words(self_, pv, pw);
         for (std::size_t k = 0; k < pidx.size(); ++k) {
           Item& it = items[pidx[k]];
           it.pre_word = pw[k];
@@ -685,7 +671,7 @@ Status Transaction::fetch_batch(std::span<const FetchSpec> specs, std::span<Stat
     pv.reserve(fill_candidates.size());
     for (std::size_t j : fill_candidates) pv.push_back(items[j].id);
     std::vector<std::uint64_t> post(pv.size(), 0);
-    blocks.peek_lock_words(self_, pv, post, batching_enabled());
+    blocks.peek_lock_words(self_, pv, post);
     for (std::size_t k = 0; k < fill_candidates.size(); ++k) {
       const Item& it = items[fill_candidates[k]];
       if (block::BlockStore::write_locked(post[k]) ||
@@ -875,13 +861,11 @@ bool Transaction::peek_cached(DPtr vid, std::uint64_t* out) {
     *out = it->second->view.app_id();
     return true;
   }
-  if (cache_enabled()) {
-    auto cit = blk_cache_.find(vid.raw());
-    if (cit != blk_cache_.end() && cit->second.size() >= 8) {
-      self_.counters().cache_hits += 1;
-      std::memcpy(out, cit->second.data(), 8);
-      return true;
-    }
+  auto cit = blk_cache_.find(vid.raw());
+  if (cit != blk_cache_.end() && cit->second.size() >= 8) {
+    self_.counters().cache_hits += 1;
+    std::memcpy(out, cit->second.data(), 8);
+    return true;
   }
   return false;
 }
@@ -892,7 +876,7 @@ Result<std::uint64_t> Transaction::peek_app_id(DPtr vid) {
   if (peek_cached(vid, &id)) return id;
   // Miss path stays the minimal 8-byte GET (no population): peeks pay for a
   // whole-block fetch only when a frontier prefetch asked for one.
-  if (cache_enabled()) self_.counters().cache_misses += 1;
+  self_.counters().cache_misses += 1;
   db_->blocks().read(self_, vid, 0, &id, 8);
   return id;
 }
@@ -1409,7 +1393,6 @@ void Transaction::writeback(DPtr id, S& st) {
   }
   // Dirty blocks ride the nonblocking engine: commit_local completes every
   // holder's PUTs with one flush_all instead of one flush per holder.
-  bool wrote = false;
   for (const auto& [b0, b1] : spans) {
     for (std::size_t b = b0; b < b1 && b < st.view.num_blocks(); ++b) {
       const DPtr blk = b == 0 ? id : st.view.block_addr(b);
@@ -1418,46 +1401,41 @@ void Transaction::writeback(DPtr id, S& st) {
       const std::size_t n = std::min(B, total - off);
       if (db_->config().wal)
         wal_rec_.image(blk, 0, std::span<const std::byte>(st.buf.data() + off, n));
-      if (batching_enabled()) blocks.write_nb(self_, blk, 0, st.buf.data() + off, n);
-      else blocks.write(self_, blk, 0, st.buf.data() + off, n);
-      wrote = true;
+      blocks.write_nb(self_, blk, 0, st.buf.data() + off, n);
     }
   }
-  if (wrote && !batching_enabled()) blocks.flush(self_, id.rank());
   st.view.reset_dirty();
 }
 
 void Transaction::release_locks(bool write_through) {
-  // With batching on, unlocks ride the nonblocking engine fire-and-forget:
-  // no agent observes *our* completion (a racing CAS that lands before an
-  // unlock just retries), so the round's cost is absorbed by whichever
-  // completion point comes next instead of paying one serial latency per
-  // held lock -- the last serial leg of the read hot path. Writeback PUTs
-  // either were flushed before this point or target the same rank as the
-  // lock word they precede (commit_local's pipeline eligibility rule), so a
-  // write unlock never overtakes its data (the RDMA same-destination
-  // ordering a real backend needs too).
+  // Unlocks ride the nonblocking engine fire-and-forget: no agent observes
+  // *our* completion (a racing CAS that lands before an unlock just
+  // retries), so the round's cost is absorbed by whichever completion point
+  // comes next instead of paying one serial latency per held lock -- the
+  // last serial leg of the read hot path. Writeback PUTs either were flushed
+  // before this point or target the same rank as the lock word they precede
+  // (commit_local's pipeline eligibility rule), so a write unlock never
+  // overtakes its data (the RDMA same-destination ordering a real backend
+  // needs too).
   //
   // Write-through (commit only): a write unlock fetches the word it
   // released, and the committed holder bytes -- which the write bit proves
   // no other agent could touch since the writeback -- are re-stamped into
   // the shared cache under the fetched post-unlock version. The rank's own
   // write set thus survives its own commits instead of going cold.
-  const bool nb = batching_enabled();
   const bool wt = write_through && db_->config().scache_write_through &&
                   scache() != nullptr;
   auto& blocks = db_->blocks();
   for_each_holder([&](DPtr id, auto& st) {
     if (st.lock == LockState::kWrite) {
       if (wt && !st.deleted) {
-        const std::uint64_t v = blocks.write_unlock_fetch(self_, id, nb);
+        const std::uint64_t v = blocks.write_unlock_fetch(self_, id, /*nonblocking=*/true);
         scache_restamp(id, st.buf, v, st.kIsEdge);
       } else {
-        nb ? blocks.write_unlock_nb(self_, id) : blocks.write_unlock(self_, id);
+        blocks.write_unlock_nb(self_, id);
       }
     }
-    if (st.lock == LockState::kRead)
-      nb ? blocks.read_unlock_nb(self_, id) : blocks.read_unlock(self_, id);
+    if (st.lock == LockState::kRead) blocks.read_unlock_nb(self_, id);
     st.lock = LockState::kNone;
   });
 }
@@ -1498,12 +1476,7 @@ Status Transaction::commit_local() {
       const auto [off, n] = st.deletion_write(B);
       const std::byte* bytes = st.buf.data() + off;
       if (db_->config().wal) wal_rec_.image(id, off, std::span<const std::byte>(bytes, n));
-      if (batching_enabled()) {
-        blocks.write_nb(self_, id, off, bytes, n);
-      } else {
-        blocks.write(self_, id, off, bytes, n);
-        blocks.flush(self_, id.rank());
-      }
+      blocks.write_nb(self_, id, off, bytes, n);
     }
     for (std::uint32_t i = 0; i < st.view.num_blocks(); ++i)
       to_release.push_back(i == 0 ? id : st.view.block_addr(i));
@@ -1526,7 +1499,7 @@ Status Transaction::commit_local() {
   // epoch slots or drag epoch-close fences into read streams.
   const std::uint64_t wb_bytes = self_.counters().bytes_put - wb_bytes_before;
   CommitPipeline* pipeline = db_->commit_pipeline(self_);
-  bool defer = pipeline != nullptr && batching_enabled() && wb_bytes > 0 &&
+  bool defer = pipeline != nullptr && wb_bytes > 0 &&
                scope_ == TxnScope::kLocal && to_release.empty() &&
                shrink_release_.empty() && !wb_cross_rank_;
   if (defer) {
@@ -1548,7 +1521,7 @@ Status Transaction::commit_local() {
   const bool must_fence = wb_bytes > 0 || !to_release.empty() ||
                           !shrink_release_.empty() ||
                           scope_ == TxnScope::kCollective;
-  if (batching_enabled() && self_.pending_nb_ops() > 0 && !defer && must_fence)
+  if (self_.pending_nb_ops() > 0 && !defer && must_fence)
     (void)self_.flush_all();
 
   // Phase 4: internal DHT index (app id -> DPtr) and explicit indexes. All
@@ -1567,7 +1540,7 @@ Status Transaction::commit_local() {
   }
   if (!pub_keys.empty()) {
     std::vector<std::uint8_t> pub_ok;
-    if (batching_enabled() && pub_keys.size() > 1) {
+    if (pub_keys.size() > 1) {
       pub_ok = dht.insert_many(self_, pub_keys, pub_vals);
     } else {
       pub_ok.assign(pub_keys.size(), 0);

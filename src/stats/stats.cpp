@@ -82,7 +82,11 @@ double Histogram::bucket_lo_ns(std::size_t i) const {
 
 double Histogram::percentile_ns(double p) const {
   if (total_ == 0) return 0;
-  const auto target = static_cast<std::uint64_t>(p / 100.0 * static_cast<double>(total_));
+  // Nearest rank: the smallest rank covering p% of the samples, at least the
+  // first, so the answer is always the bucket of a recorded sample.
+  const auto rank =
+      static_cast<std::uint64_t>(std::ceil(p / 100.0 * static_cast<double>(total_)));
+  const std::uint64_t target = std::clamp<std::uint64_t>(rank, 1, total_);
   std::uint64_t acc = 0;
   for (std::size_t i = 0; i < counts_.size(); ++i) {
     acc += counts_[i];

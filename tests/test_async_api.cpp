@@ -25,14 +25,12 @@
 namespace gdi {
 namespace {
 
-DatabaseConfig make_cfg(bool batched = true, bool cache = true) {
+DatabaseConfig make_cfg() {
   DatabaseConfig c;
   c.block.block_size = 512;
   c.block.blocks_per_rank = 8192;
   c.dht.entries_per_rank = 4096;
   c.dht.buckets_per_rank = 512;
-  c.batched_reads = batched;
-  c.block_cache = cache;
   return c;
 }
 

@@ -20,14 +20,12 @@
 namespace gdi {
 namespace {
 
-DatabaseConfig make_cfg(bool batched, bool cache) {
+DatabaseConfig make_cfg() {
   DatabaseConfig c;
   c.block.block_size = 512;
   c.block.blocks_per_rank = 8192;
   c.dht.entries_per_rank = 4096;
   c.dht.buckets_per_rank = 512;
-  c.batched_reads = batched;
-  c.block_cache = cache;
   return c;
 }
 
@@ -239,13 +237,16 @@ struct TraversalDigest {
   bool operator==(const TraversalDigest&) const = default;
 };
 
-/// Build a small labeled/propertied graph and read it all back through the
-/// frontier APIs; returns a digest of everything read plus the simulated cost.
-TraversalDigest run_traversal(bool batched, bool cache) {
+/// Build a small labeled/propertied graph and read it all back; returns a
+/// digest of everything read plus the simulated cost. `batched` reads through
+/// the frontier APIs (one multi-translate, whole-frontier prefetches); the
+/// sequential reference issues every read one holder per call (singleton
+/// translate, associate and peek, no prefetch), the blocking shape.
+TraversalDigest run_traversal(bool batched) {
   TraversalDigest d;
   rma::Runtime rt(2, rma::NetParams::xc40());
   rt.run([&](rma::Rank& self) {
-    auto db = Database::create(self, make_cfg(batched, cache));
+    auto db = Database::create(self, make_cfg());
     PropertyType pd{.name = "w", .dtype = Datatype::kInt64};
     const std::uint32_t pt = *db->create_ptype(self, pd);
     constexpr std::uint64_t kN = 48;
@@ -278,11 +279,17 @@ TraversalDigest run_traversal(bool batched, bool cache) {
       Transaction r(db, self, TxnMode::kReadShared);
       std::vector<std::uint64_t> ids(kN);
       std::iota(ids.begin(), ids.end(), 0);
-      auto vids = r.translate_vertex_ids(ids);
-      EXPECT_TRUE(vids.ok());
-      r.prefetch_vertices(*vids);
+      std::vector<DPtr> vids;
+      if (batched) {
+        auto r_vids = r.translate_vertex_ids(ids);
+        EXPECT_TRUE(r_vids.ok());
+        vids = *r_vids;
+        r.prefetch_vertices(vids);
+      } else {
+        for (std::uint64_t id : ids) vids.push_back(*r.translate_vertex_id(id));
+      }
       for (std::uint64_t i = 0; i < kN; ++i) {
-        const DPtr vid = (*vids)[i];
+        const DPtr vid = vids[i];
         EXPECT_FALSE(vid.is_null());
         auto vh = r.associate_vertex(vid);
         EXPECT_TRUE(vh.ok());
@@ -296,7 +303,7 @@ TraversalDigest run_traversal(bool batched, bool cache) {
         EXPECT_TRUE(edges.ok());
         std::vector<DPtr> nbrs;
         for (const auto& e : *edges) nbrs.push_back(e.neighbor);
-        r.prefetch_vertices(nbrs);
+        if (batched) r.prefetch_vertices(nbrs);
         for (DPtr nb : nbrs) d.words.push_back(*r.peek_app_id(nb));
       }
       (void)r.commit();
@@ -308,8 +315,8 @@ TraversalDigest run_traversal(bool batched, bool cache) {
 }
 
 TEST(BatchedRma, TraversalBatchedMatchesSequentialAndIsCheaper) {
-  const TraversalDigest seq = run_traversal(/*batched=*/false, /*cache=*/false);
-  const TraversalDigest bat = run_traversal(/*batched=*/true, /*cache=*/true);
+  const TraversalDigest seq = run_traversal(/*batched=*/false);
+  const TraversalDigest bat = run_traversal(/*batched=*/true);
   EXPECT_EQ(seq.words, bat.words)
       << "batched traversal must read exactly what the sequential path reads";
   EXPECT_LT(bat.sim_ns, seq.sim_ns / 2.0)
@@ -319,7 +326,7 @@ TEST(BatchedRma, TraversalBatchedMatchesSequentialAndIsCheaper) {
 TEST(BatchedRma, BlockCacheHitsAfterPrefetch) {
   rma::Runtime rt(2, rma::NetParams::xc40());
   rt.run([&](rma::Rank& self) {
-    auto db = Database::create(self, make_cfg(true, true));
+    auto db = Database::create(self, make_cfg());
     if (self.id() == 0) {
       {
         Transaction w(db, self, TxnMode::kWrite);
@@ -351,7 +358,7 @@ TEST(BatchedRma, BlockCacheHitsAfterPrefetch) {
 TEST(BatchedRma, BlockCacheNeverServesStaleAfterOwnWrite) {
   rma::Runtime rt(1, rma::NetParams::xc40());
   rt.run([&](rma::Rank& self) {
-    auto db = Database::create(self, make_cfg(true, true));
+    auto db = Database::create(self, make_cfg());
     PropertyType pd{.name = "p", .dtype = Datatype::kInt64};
     const std::uint32_t pt = *db->create_ptype(self, pd);
     {
@@ -387,6 +394,44 @@ TEST(BatchedRma, BlockCacheNeverServesStaleAfterOwnWrite) {
   });
 }
 
+// The one-holder half of the singleton rule: a call that touches a single
+// holder or ID issues blocking ops only -- no nonblocking op, no batch, no
+// flush. This is what makes one-holder-per-call reads the serial reference
+// of the traversal and heavy-edge tests.
+TEST(BatchedRma, SingletonCallsIssueOnlyBlockingOps) {
+  rma::Runtime rt(2, rma::NetParams::xc40());
+  rt.run([&](rma::Rank& self) {
+    auto db = Database::create(self, make_cfg());
+    EXPECT_EQ(db->shared_cache(self), nullptr);
+    if (self.id() == 0) {
+      {
+        Transaction w(db, self, TxnMode::kWrite);
+        EXPECT_TRUE(w.create_vertex(1).ok());  // owned by rank 1: remote
+        EXPECT_EQ(w.commit(), Status::kOk);
+      }
+      Transaction r(db, self, TxnMode::kRead);
+      const auto expect_blocking = [](const rma::OpCounters& d, const char* call) {
+        EXPECT_EQ(d.nb_gets, 0u) << call;
+        EXPECT_EQ(d.nb_atomics, 0u) << call;
+        EXPECT_EQ(d.batches, 0u) << call;
+        EXPECT_EQ(d.flushes, 0u) << call;
+      };
+      auto c0 = self.counters().snapshot();
+      auto vid = r.translate_vertex_id(1);
+      EXPECT_TRUE(vid.ok());
+      expect_blocking(self.counters().delta(c0), "translate_vertex_id");
+      EXPECT_EQ(vid->rank(), 1u);
+      c0 = self.counters().snapshot();
+      EXPECT_TRUE(r.associate_vertex(*vid).ok());
+      const rma::OpCounters d = self.counters().delta(c0);
+      expect_blocking(d, "associate_vertex");
+      EXPECT_EQ(d.gets, 1u) << "a one-block holder is one blocking GET";
+      EXPECT_EQ(r.commit(), Status::kOk);
+    }
+    self.barrier();
+  });
+}
+
 // kRead prefetch routes through the batched lock-then-validate path: read
 // locks for the whole set are acquired with overlapped CAS rounds *before*
 // any holder bytes are read, then the fetches ride one batch. Later
@@ -394,7 +439,7 @@ TEST(BatchedRma, BlockCacheNeverServesStaleAfterOwnWrite) {
 TEST(BatchedRma, PrefetchLocksThenFetchesInKReadMode) {
   rma::Runtime rt(1, rma::NetParams::xc40());
   rt.run([&](rma::Rank& self) {
-    auto db = Database::create(self, make_cfg(true, true));
+    auto db = Database::create(self, make_cfg());
     {
       Transaction w(db, self, TxnMode::kWrite);
       for (std::uint64_t i = 0; i < 4; ++i) EXPECT_TRUE(w.create_vertex(i).ok());

@@ -3,6 +3,10 @@
 // and histogram rendering.
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <cstring>
+#include <type_traits>
+
 #include "gdi/gdi.hpp"
 #include "stats/stats.hpp"
 
@@ -53,6 +57,41 @@ TEST(MiscCoverage, OpCountersAggregate) {
   EXPECT_EQ(a.remote_ops, 7u);
 }
 
+// operator+= and delta() list every field by hand, so a field one of them
+// misses would report zero or cumulative values without any error. Set one
+// 8-byte word at a time and check that both operations carry exactly it.
+TEST(MiscCoverage, OpCountersArithmeticCoversEveryField) {
+  using rma::OpCounters;
+  static_assert(std::is_trivially_copyable_v<OpCounters>);
+  static_assert(sizeof(OpCounters) % sizeof(std::uint64_t) == 0);
+  constexpr std::size_t kWords = sizeof(OpCounters) / sizeof(std::uint64_t);
+  const std::size_t high_water = offsetof(OpCounters, max_batch_ops) / sizeof(std::uint64_t);
+  const auto with_word = [](std::size_t i, std::uint64_t v) {
+    OpCounters c;
+    std::memcpy(reinterpret_cast<std::byte*>(&c) + i * sizeof v, &v, sizeof v);
+    return c;
+  };
+  const auto word = [](const OpCounters& c, std::size_t i) {
+    std::uint64_t v = 0;
+    std::memcpy(&v, reinterpret_cast<const std::byte*>(&c) + i * sizeof v, sizeof v);
+    return v;
+  };
+  for (std::size_t i = 0; i < kWords; ++i) {
+    OpCounters sum = with_word(i, 5);
+    sum += with_word(i, 7);
+    const OpCounters d = with_word(i, 12).delta(with_word(i, 5));
+    // max_batch_ops is a high-water mark: += takes the max, delta() keeps
+    // the current value.
+    EXPECT_EQ(word(sum, i), i == high_water ? 7u : 12u) << "operator+= on word " << i;
+    EXPECT_EQ(word(d, i), i == high_water ? 12u : 7u) << "delta() on word " << i;
+    for (std::size_t j = 0; j < kWords; ++j) {
+      if (j == i) continue;
+      EXPECT_EQ(word(sum, j), 0u) << "operator+= leaks word " << i << " into " << j;
+      EXPECT_EQ(word(d, j), 0u) << "delta() leaks word " << i << " into " << j;
+    }
+  }
+}
+
 TEST(MiscCoverage, RuntimeNetReconfiguration) {
   rma::Runtime rt(2, rma::NetParams::zero());
   rt.run([&](rma::Rank& self) { EXPECT_EQ(self.net().alpha_remote_ns, 0.0); });
@@ -98,6 +137,28 @@ TEST(MiscCoverage, HistogramRendering) {
   stats::Histogram empty;
   EXPECT_EQ(empty.percentile_ns(50), 0.0);
   EXPECT_EQ(empty.mean_ns(), 0.0);
+
+  // Percentiles use the nearest rank: p covers ceil(p% of n) samples, and
+  // never fewer than one, so every answer is the bucket of a real sample.
+  const auto occupied = [](const stats::Histogram& hist) {
+    std::vector<double> lo;
+    for (std::size_t i = 0; i < hist.bucket_count(); ++i)
+      if (hist.count(i) > 0) lo.push_back(hist.bucket_lo_ns(i));
+    return lo;
+  };
+  stats::Histogram one;
+  one.add(50e3);
+  ASSERT_EQ(occupied(one).size(), 1u);
+  EXPECT_EQ(one.percentile_ns(50), occupied(one)[0]);
+  EXPECT_EQ(one.percentile_ns(99), occupied(one)[0]);
+  EXPECT_EQ(one.percentile_ns(0), occupied(one)[0]);
+  stats::Histogram three;
+  for (double ns : {1e3, 50e3, 900e3}) three.add(ns);
+  const auto lo = occupied(three);
+  ASSERT_EQ(lo.size(), 3u);
+  EXPECT_EQ(three.percentile_ns(50), lo[1]) << "rank 2 of 3 is the 50 us sample";
+  EXPECT_EQ(three.percentile_ns(99), lo[2]) << "rank 3 of 3 is the 900 us sample";
+  EXPECT_EQ(three.percentile_ns(100), lo[2]);
 }
 
 TEST(MiscCoverage, DPtrToString) {

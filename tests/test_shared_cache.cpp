@@ -12,7 +12,7 @@
 //  * the translation memo never changes find() results: stale memos fall
 //    back to the DHT (deleted and delete+recreate cases);
 //  * batched constraint-filtered edges_of returns byte-for-byte what the
-//    serial (batched_reads=false) path returns;
+//    same filter returns when its heavy holders are read one per call;
 //  * BlockStore::try_upgrade_many keeps sole-reader semantics, and the
 //    BatchScope read-then-write re-touch path commits correctly through it.
 //
@@ -20,6 +20,7 @@
 // a fatal ASSERT would return from one rank's lambda and deadlock the team.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 
 #include "cache/shared_cache.hpp"
@@ -439,26 +440,48 @@ std::pair<std::uint32_t, std::uint32_t> build_heavy_star(
   return {pt, label};
 }
 
+/// The out-edges of star hub `v` (all heavy) that carry `label`, filtered
+/// the serial way: an unconstrained edges_of, then one edge_labels_of call
+/// per heavy holder (each a one-holder fetch: a blocking lock CAS + GET, no
+/// batch).
+std::vector<EdgeDesc> serial_labeled_edges(Transaction& r, VertexHandle v,
+                                           std::uint32_t label) {
+  std::vector<EdgeDesc> out;
+  auto edges = r.edges_of(v, DirFilter::kOut);
+  EXPECT_TRUE(edges.ok());
+  for (const auto& e : *edges) {
+    auto labels = r.edge_labels_of(EdgeHandle{e.heavy});
+    EXPECT_TRUE(labels.ok());
+    if (std::ranges::find(*labels, label) != labels->end()) out.push_back(e);
+  }
+  return out;
+}
+
 TEST(EdgeBatch, ConstraintFilteredEdgesOfMatchesSerialByteForByte) {
   rma::Runtime rt(2, rma::NetParams::xc40());
   rt.run([&](rma::Rank& self) {
-    DatabaseConfig serial_cfg = make_cfg(false);
-    serial_cfg.batched_reads = false;
-    auto db_serial = Database::create(self, serial_cfg);
+    auto db_serial = Database::create(self, make_cfg(true));
     auto db_batched = Database::create(self, make_cfg(true));
     const auto [pt_s, label_s] = build_heavy_star(db_serial, self, 24);
     const auto [pt_b, label_b] = build_heavy_star(db_batched, self, 24);
     EXPECT_EQ(label_s, label_b);
     if (self.id() == 1) {  // remote from the hub's owner (rank 0)
       const Constraint cn = Constraint::with_label(label_s);
-      auto digest = [&](const std::shared_ptr<Database>& db, std::uint32_t pt) {
+      auto digest = [&](const std::shared_ptr<Database>& db, std::uint32_t pt,
+                        bool batched) {
         std::vector<std::uint64_t> out;
         Transaction r(db, self, TxnMode::kRead);
         auto vh = r.find_vertex(0);
         EXPECT_TRUE(vh.ok());
-        auto edges = r.edges_of(*vh, DirFilter::kOut, &cn);
-        EXPECT_TRUE(edges.ok());
-        for (const auto& e : *edges) {
+        std::vector<EdgeDesc> edges;
+        if (batched) {
+          auto got = r.edges_of(*vh, DirFilter::kOut, &cn);
+          EXPECT_TRUE(got.ok());
+          edges = *got;
+        } else {
+          edges = serial_labeled_edges(r, *vh, label_s);
+        }
+        for (const auto& e : edges) {
           out.push_back(e.neighbor.raw() != 0);
           out.push_back(e.heavy.raw() != 0);
           auto props = r.get_edge_properties(EdgeHandle{e.heavy}, pt);
@@ -469,8 +492,8 @@ TEST(EdgeBatch, ConstraintFilteredEdgesOfMatchesSerialByteForByte) {
         EXPECT_EQ(r.commit(), Status::kOk);
         return out;
       };
-      const auto serial = digest(db_serial, pt_s);
-      const auto batched = digest(db_batched, pt_b);
+      const auto serial = digest(db_serial, pt_s, /*batched=*/false);
+      const auto batched = digest(db_batched, pt_b, /*batched=*/true);
       EXPECT_EQ(serial.size(), batched.size());
       EXPECT_EQ(serial, batched)
           << "batched heavy-edge path must match the serial path byte-for-byte";
@@ -483,30 +506,25 @@ TEST(EdgeBatch, ConstraintFilteredEdgesOfMatchesSerialByteForByte) {
 TEST(EdgeBatch, BatchedHeavyFetchCostsFewerRounds) {
   rma::Runtime rt(2, rma::NetParams::xc40());
   rt.run([&](rma::Rank& self) {
-    auto db_serial = Database::create(self, [&] {
-      DatabaseConfig c = make_cfg(false);
-      c.batched_reads = false;
-      return c;
-    }());
+    auto db_serial = Database::create(self, make_cfg(false));
     auto db_batched = Database::create(self, make_cfg(false));
     const auto star_s = build_heavy_star(db_serial, self, 24);
     const auto star_b = build_heavy_star(db_batched, self, 24);
-    (void)star_s;
     if (self.id() == 1) {
       const Constraint cn = Constraint::with_label(star_b.second);
-      auto cost = [&](const std::shared_ptr<Database>& db) {
+      auto cost = [&](const std::shared_ptr<Database>& db, bool batched) {
         Transaction r(db, self, TxnMode::kRead);
         auto vh = r.find_vertex(0);
         EXPECT_TRUE(vh.ok());
         self.reset_clock();
-        auto edges = r.edges_of(*vh, DirFilter::kOut, &cn);
-        EXPECT_TRUE(edges.ok());
+        if (batched) EXPECT_TRUE(r.edges_of(*vh, DirFilter::kOut, &cn).ok());
+        else (void)serial_labeled_edges(r, *vh, star_s.second);
         const double t = self.sim_time_ns();
         EXPECT_EQ(r.commit(), Status::kOk);
         return t;
       };
-      const double serial = cost(db_serial);
-      const double batched = cost(db_batched);
+      const double serial = cost(db_serial, /*batched=*/false);
+      const double batched = cost(db_batched, /*batched=*/true);
       EXPECT_LT(batched, serial / 2.0)
           << "24 heavy holders must overlap their lock+fetch rounds";
       EXPECT_GE(self.counters().edge_batches, 1u);

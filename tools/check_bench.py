@@ -13,6 +13,11 @@ machine-independent; residual variance comes only from thread interleaving
 (lock/CAS retry counts). A metric that regresses on the first run gets one
 re-run, and the better value counts -- a real regression fails twice.
 
+A bench that exits nonzero or prints no JSON is a failed row of the report:
+the gate goes on with the next bench, writes the report and the step summary,
+and exits 1 if any bench failed or regressed. --update-baselines stops at the
+first failing bench instead.
+
 Refresh the baselines after an intentional perf change with:
     python3 tools/check_bench.py --build-dir build --update-baselines
 """
@@ -217,6 +222,10 @@ BENCHES = [
 ]
 
 
+class BenchFailure(Exception):
+    """A bench run that exited nonzero or printed no parsable JSON blob."""
+
+
 def run_bench(build_dir, name):
     exe = pathlib.Path(build_dir) / name
     if not exe.exists():
@@ -226,10 +235,10 @@ def run_bench(build_dir, name):
                           timeout=1800)
     if proc.returncode != 0:
         sys.stderr.write(proc.stdout + proc.stderr)
-        sys.exit(f"error: {name} exited with {proc.returncode}")
+        raise BenchFailure(f"{name} exited with {proc.returncode}")
     marker = proc.stdout.find("JSON:")
     if marker < 0:
-        sys.exit(f"error: {name} printed no JSON blob")
+        raise BenchFailure(f"{name} printed no JSON blob")
     blob = proc.stdout[marker + len("JSON:"):]
     start = blob.find("{")
     depth = 0
@@ -240,10 +249,10 @@ def run_bench(build_dir, name):
             depth -= 1
             if depth == 0:
                 return json.loads(blob[start:i + 1])
-    sys.exit(f"error: unterminated JSON blob from {name}")
+    raise BenchFailure(f"unterminated JSON blob from {name}")
 
 
-def write_step_summary(report, regressions):
+def write_step_summary(report, regressions, failures):
     """Render the gate's per-metric comparison as a markdown table into
     $GITHUB_STEP_SUMMARY (the Actions job-summary pane) when it is set; a
     no-op everywhere else."""
@@ -260,7 +269,9 @@ def write_step_summary(report, regressions):
         "| --- | --- | ---: | ---: | ---: | --- |",
     ]
     for name, entry in report["benches"].items():
-        if "metrics" not in entry:  # --update-baselines run
+        if "error" in entry:
+            lines.append(f"| {name} | (run) | | | | :x: {entry['error']} |")
+        if "metrics" not in entry:  # failed bench or --update-baselines run
             continue
         for key, row in entry["metrics"].items():
             status = ":white_check_mark:" if row["ok"] else ":x: regression"
@@ -268,6 +279,8 @@ def write_step_summary(report, regressions):
                 f"| {name} | {key} | {row['run']:.1f} | {row['baseline']:.1f} "
                 f"| {row['ratio'] * 100:.1f}% | {status} |")
     lines.append("")
+    if failures:
+        lines.append(f"**{len(failures)} bench(es) failed to run.**")
     lines.append("All tracked metrics within threshold." if not regressions
                  else f"**{len(regressions)} metric(s) regressed.**")
     lines.append("")
@@ -293,10 +306,19 @@ def main():
 
     report = {"threshold": args.threshold, "benches": {}}
     regressions = []
+    failures = []
 
     for bench in BENCHES:
         name = bench["bin"]
-        parsed = run_bench(args.build_dir, name)
+        try:
+            parsed = run_bench(args.build_dir, name)
+        except BenchFailure as e:
+            if args.update_baselines:
+                sys.exit(f"error: {e}")
+            print(f"{name:26s} FAILED: {e}")
+            failures.append(str(e))
+            report["benches"][name] = {"error": str(e)}
+            continue
         metrics = bench["metrics"](parsed)
         baseline_path = REPO / bench["baseline"]
         baseline_doc = json.loads(baseline_path.read_text())
@@ -306,7 +328,10 @@ def main():
             # metrics, a conservative baseline spends none of the threshold
             # on interleaving noise while still catching real regressions.
             for _ in range(max(args.baseline_runs - 1, 0)):
-                extra = bench["metrics"](run_bench(args.build_dir, name))
+                try:
+                    extra = bench["metrics"](run_bench(args.build_dir, name))
+                except BenchFailure as e:
+                    sys.exit(f"error: {e}")
                 for key, val in extra.items():
                     metrics[key] = min(metrics[key], val)
             smoke = baseline_doc.setdefault("smoke", {})
@@ -346,7 +371,14 @@ def main():
                 sys.exit(f"error: {name} run is missing tracked metric {key}")
             if val < base_val * (1.0 - args.threshold) and rerun is None:
                 # One re-run absorbs interleaving noise; keep the better value.
-                rerun = bench["metrics"](run_bench(args.build_dir, name))
+                # A re-run that fails counts as a failed bench, and the first
+                # run's values stand.
+                try:
+                    rerun = bench["metrics"](run_bench(args.build_dir, name))
+                except BenchFailure as e:
+                    print(f"{name:26s} FAILED on re-run: {e}")
+                    failures.append(f"{e} (re-run)")
+                    rerun = {}
             if rerun is not None:
                 val = max(val, rerun.get(key, val))
             ratio = val / base_val if base_val else float("inf")
@@ -361,13 +393,18 @@ def main():
         report["benches"][name] = {"metrics": rows, "json": parsed}
 
     pathlib.Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
-    write_step_summary(report, regressions)
+    write_step_summary(report, regressions, failures)
     print(f"\nreport written to {args.out}")
+    if failures:
+        print("\nbenches that failed to run:")
+        for f in failures:
+            print(f"  {f}")
     if regressions:
         print("\nbench regressions (> {:.0f}% below baseline):".format(
             args.threshold * 100))
         for r in regressions:
             print(f"  {r}")
+    if failures or regressions:
         return 1
     print("bench gate: all tracked metrics within threshold")
     return 0
