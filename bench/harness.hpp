@@ -50,6 +50,7 @@ struct SetupOpts {
   std::size_t block_size = 512;
   std::uint64_t seed = 42;
   bool with_index = true;
+  bool batched_reads = true;  ///< nonblocking batch engine on read hot paths
   bool shared_cache = true;   ///< shared version-validated holder cache (PR 4)
   /// PR 5 write-path knobs, default-off so the PR 4 benches keep their exact
   /// op-count and baseline semantics; bench_pr5_group_commit switches them on.
@@ -104,6 +105,7 @@ inline LoadedDb setup_db(rma::Rank& self, const SetupOpts& opts) {
   out.m = g.num_edges();
 
   DatabaseConfig c;
+  c.batched_reads = o.batched_reads;
   c.shared_cache = o.shared_cache;
   c.scache_write_through = o.write_through;
   c.commit_pipeline = o.commit_pipeline;

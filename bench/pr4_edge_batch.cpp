@@ -7,9 +7,8 @@
 // with the label stored in the holder -- so a label-constrained edges_of
 // must fetch every direction-matching heavy holder to evaluate the filter,
 // which is exactly the access the ROADMAP's "Batched edge-holder fetch"
-// item wanted overlapped. The serial reference runs the same filter by hand,
-// one heavy holder per edge_labels_of call: a one-holder fetch is a blocking
-// lock CAS + GET chain, so each holder pays its own latencies.
+// item wanted overlapped. The serial baseline is batched_reads=false (each
+// holder pays its own lock CAS + GET chain).
 //
 // Emits a paper-style table plus a JSON blob (committed as BENCH_pr4.json).
 #include "harness.hpp"
@@ -45,13 +44,13 @@ int main() {
       SetupOpts o;
       o.scale = scale;
       o.heavy_edge_fraction = 0.5;
+      o.batched_reads = c.batched;
       o.shared_cache = false;  // isolate the batching effect
       auto env = setup_db(self, o);
       // Every rank scans a slice of vertices with a label-constrained
       // edges_of; labels of heavy edges live in their holders, so the filter
       // forces the heavy fetches.
-      const std::uint32_t label = env.label_ids[1 % env.label_ids.size()];
-      const Constraint cn = Constraint::with_label(label);
+      const Constraint cn = Constraint::with_label(env.label_ids[1 % env.label_ids.size()]);
       std::uint64_t matched = 0;
       self.barrier();
       self.reset_clock();
@@ -64,22 +63,8 @@ int main() {
               env.n;
           auto vh = txn.find_vertex(id);
           if (!vh.ok()) continue;
-          if (c.batched) {
-            auto edges = txn.edges_of(*vh, DirFilter::kAll, &cn);
-            if (edges.ok()) matched += edges->size();
-            continue;
-          }
-          auto edges = txn.edges_of(*vh, DirFilter::kAll);
-          if (!edges.ok()) continue;
-          for (const auto& e : *edges) {
-            if (e.heavy.is_null()) {
-              if (cn.matches_lw_edge(e.label_id)) ++matched;
-              continue;
-            }
-            auto labels = txn.edge_labels_of(EdgeHandle{e.heavy});
-            if (labels.ok() && std::ranges::find(*labels, label) != labels->end())
-              ++matched;
-          }
+          auto edges = txn.edges_of(*vh, DirFilter::kAll, &cn);
+          if (edges.ok()) matched += edges->size();
         }
         (void)txn.commit();
       }

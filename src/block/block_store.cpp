@@ -263,9 +263,9 @@ std::uint64_t BlockStore::write_unlock_fetch(rma::Rank& self, DPtr blk,
 }
 
 void BlockStore::peek_lock_words(rma::Rank& self, std::span<const DPtr> blks,
-                                 std::span<std::uint64_t> out) {
+                                 std::span<std::uint64_t> out, bool batched) {
   assert(out.size() == blks.size());
-  if (blks.size() > 1) {
+  if (batched && blks.size() > 1) {
     for (std::size_t i = 0; i < blks.size(); ++i) {
       const DPtr b = blks[i];
       (void)system_.atomic_get_u64_nb(self, b.rank(), lock_offset(block_index(b)),

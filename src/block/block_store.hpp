@@ -182,12 +182,12 @@ class BlockStore {
   /// the write bit excludes every other agent, so the fetched word is exactly
   /// `held_version | write_bit` and the re-stamped version is tamper-proof.
   std::uint64_t write_unlock_fetch(rma::Rank& self, DPtr blk, bool nonblocking);
-  /// Batched 8-byte lock-word peeks: one nonblocking atomic per word
-  /// completed by a single flush_all (a single word is one blocking atomic).
-  /// out[i] receives blks[i]'s word. The shared block cache rides this to
-  /// validate lock-free (kReadShared) hits and to bracket lock-free fills.
+  /// Batched 8-byte lock-word peeks: with `batched` one nonblocking atomic
+  /// per word completed by a single flush_all, otherwise one blocking atomic
+  /// each. out[i] receives blks[i]'s word. The shared block cache rides this
+  /// to validate lock-free (kReadShared) hits and to bracket lock-free fills.
   void peek_lock_words(rma::Rank& self, std::span<const DPtr> blks,
-                       std::span<std::uint64_t> out);
+                       std::span<std::uint64_t> out, bool batched);
   /// Raw lock word (tests/diagnostics).
   [[nodiscard]] std::uint64_t lock_word(rma::Rank& self, DPtr blk);
   /// Test-only: overwrite a block's raw lock word. Exists to drive the 2^31

@@ -573,12 +573,17 @@ Status BatchScope::execute() {
     }
   }
 
-  // Phase 5: overlapped 8-byte peeks. A doomed transaction issues no further
+  // Phase 5: overlapped 8-byte peeks (blocking reads when batching is off --
+  // identical bytes, serial latency). A doomed transaction issues no further
   // RMA: queued peeks abort like any other unresolved future.
   if (!peeks.empty()) {
     auto& blocks = t.db_->blocks();
-    for (auto& p : peeks) blocks.read_nb(t.self_, ops[p.op].vid, 0, &p.id, 8);
-    (void)t.self_.flush_all();
+    if (t.batching_enabled()) {
+      for (auto& p : peeks) blocks.read_nb(t.self_, ops[p.op].vid, 0, &p.id, 8);
+      (void)t.self_.flush_all();
+    } else {
+      for (auto& p : peeks) blocks.read(t.self_, ops[p.op].vid, 0, &p.id, 8);
+    }
     t.self_.counters().cache_misses += peeks.size();
     for (auto& p : peeks) {
       ops[p.op].f_u64->value = p.id;

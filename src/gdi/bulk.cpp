@@ -210,7 +210,7 @@ Result<BulkLoadStats> BulkLoader::load(const std::vector<BulkVertex>& vertices,
       keys.push_back(p.app_id);
       vals.push_back(p.primary.raw());
     }
-    if (keys.size() > 1) {
+    if (db_->cfg_.batched_reads && keys.size() > 1) {
       const auto inserted = dht.insert_many(self_, keys, vals);
       for (std::uint8_t okf : inserted)
         if (!okf) return Status::kOutOfMemory;
@@ -229,7 +229,7 @@ Result<BulkLoadStats> BulkLoader::load(const std::vector<BulkVertex>& vertices,
   // resolution locally.
   std::unordered_map<std::uint64_t, DPtr> id_cache;
   id_cache.reserve(1024);
-  {
+  if (db_->cfg_.batched_reads) {
     std::vector<std::uint64_t> need;
     for (const auto& p : pending)
       for (const auto& w : p.recs)

@@ -47,6 +47,12 @@ struct DatabaseConfig {
   std::size_t index_capacity_per_rank = 1u << 16;
   int lock_attempts = 8;  ///< bounded lock retries before a txn conflict abort
   Partitioning partitioning = Partitioning::kRoundRobin;
+  /// Issue read-side holder/DHT fetches through the nonblocking batch engine
+  /// (overlapped max(alpha)+sum(beta*bytes) cost). Off = the seed's serial
+  /// one-latency-per-GET behaviour; results are identical either way. Only
+  /// bench_pr4_edge_batch's serial row turns it off (ROADMAP, "One
+  /// configuration").
+  bool batched_reads = true;
   /// Shared (inter-transaction) version-validated holder cache, one per rank
   /// (see src/cache/shared_cache.hpp). Hits skip a holder's block fetches
   /// entirely; correctness comes from lock-word version validation, so reads

@@ -52,6 +52,8 @@ std::uint32_t Transaction::max_table_cap() const {
 // Block cache & batched reads
 // ---------------------------------------------------------------------------
 
+bool Transaction::batching_enabled() const { return db_->config().batched_reads; }
+
 void Transaction::scache_invalidate(DPtr primary) {
   if (auto* sc = scache(); sc != nullptr && sc->erase(primary))
     self_.counters().scache_invalidations += 1;
@@ -137,7 +139,7 @@ void Transaction::read_tail_blocks(std::vector<std::byte>& buf, std::size_t tota
   // overlapped latency plus a completion fence (the same singleton rule the
   // lock and fetch batches follow).
   std::vector<std::byte> scratch(misses.size() * B);
-  if (misses.size() > 1) {
+  if (batching_enabled() && misses.size() > 1) {
     std::vector<block::BlockStore::BlockReadOp> ops;
     ops.reserve(misses.size());
     for (std::size_t j = 0; j < misses.size(); ++j)
@@ -223,7 +225,7 @@ Result<std::vector<DPtr>> Transaction::translate_ids_impl(
   // the chain blocking, exactly like translate_vertex_id. Resolved keys
   // re-teach the memo under `ep`, which was observed no later than the walk
   // that verified them (the conservative direction -- see shared_cache.hpp).
-  if (need.size() > 1) {
+  if (batching_enabled() && need.size() > 1) {
     auto vals = dht.lookup_many(self_, need);
     for (std::size_t j = 0; j < need.size(); ++j)
       if (vals[j]) {
@@ -274,6 +276,7 @@ template <class S>
 void Transaction::populate_block_cache(std::span<const DPtr> ids,
                                        std::unordered_set<std::uint64_t>* tainted) {
   if (!active_ || failed_) return;
+  if (!batching_enabled()) return;
 
   auto& blocks = db_->blocks();
   const std::size_t B = blocks.block_size();
@@ -423,13 +426,13 @@ Status Transaction::fetch_batch(std::span<const FetchSpec> specs, std::span<Stat
     }
     spec_item[i] = it->second;
   }
-  if (items.size() > 1) S::count_batch(self_.counters(), items.size());
+  if (batching_enabled() && items.size() > 1) S::count_batch(self_.counters(), items.size());
 
   // Phase 0: batched write-lock upgrades for re-touched read-locked states
   // (one overlapped CAS round set instead of one serial upgrade per holder).
   if (!upg_ids.empty()) {
     std::vector<std::uint8_t> got;
-    if (upg_ids.size() > 1) {
+    if (batching_enabled() && upg_ids.size() > 1) {
       got = blocks.try_upgrade_many(self_, upg_ids, attempts);
     } else {
       got.assign(upg_ids.size(), 0);
@@ -496,7 +499,8 @@ Status Transaction::fetch_batch(std::span<const FetchSpec> specs, std::span<Stat
       }
       return got;
     };
-    const bool batch_locks = read_idx.size() + write_idx.size() > 1;
+    const bool batch_locks =
+        batching_enabled() && read_idx.size() + write_idx.size() > 1;
     std::vector<std::uint8_t> got_r;
     std::vector<std::uint8_t> got_w;
     std::vector<std::uint64_t> words_r;
@@ -570,7 +574,7 @@ Status Transaction::fetch_batch(std::span<const FetchSpec> specs, std::span<Stat
         }
       if (!pv.empty()) {
         std::vector<std::uint64_t> pw(pv.size(), 0);
-        blocks.peek_lock_words(self_, pv, pw);
+        blocks.peek_lock_words(self_, pv, pw, batching_enabled());
         for (std::size_t k = 0; k < pidx.size(); ++k) {
           Item& it = items[pidx[k]];
           it.pre_word = pw[k];
@@ -671,7 +675,7 @@ Status Transaction::fetch_batch(std::span<const FetchSpec> specs, std::span<Stat
     pv.reserve(fill_candidates.size());
     for (std::size_t j : fill_candidates) pv.push_back(items[j].id);
     std::vector<std::uint64_t> post(pv.size(), 0);
-    blocks.peek_lock_words(self_, pv, post);
+    blocks.peek_lock_words(self_, pv, post, batching_enabled());
     for (std::size_t k = 0; k < fill_candidates.size(); ++k) {
       const Item& it = items[fill_candidates[k]];
       if (block::BlockStore::write_locked(post[k]) ||
@@ -1393,6 +1397,7 @@ void Transaction::writeback(DPtr id, S& st) {
   }
   // Dirty blocks ride the nonblocking engine: commit_local completes every
   // holder's PUTs with one flush_all instead of one flush per holder.
+  bool wrote = false;
   for (const auto& [b0, b1] : spans) {
     for (std::size_t b = b0; b < b1 && b < st.view.num_blocks(); ++b) {
       const DPtr blk = b == 0 ? id : st.view.block_addr(b);
@@ -1401,41 +1406,46 @@ void Transaction::writeback(DPtr id, S& st) {
       const std::size_t n = std::min(B, total - off);
       if (db_->config().wal)
         wal_rec_.image(blk, 0, std::span<const std::byte>(st.buf.data() + off, n));
-      blocks.write_nb(self_, blk, 0, st.buf.data() + off, n);
+      if (batching_enabled()) blocks.write_nb(self_, blk, 0, st.buf.data() + off, n);
+      else blocks.write(self_, blk, 0, st.buf.data() + off, n);
+      wrote = true;
     }
   }
+  if (wrote && !batching_enabled()) blocks.flush(self_, id.rank());
   st.view.reset_dirty();
 }
 
 void Transaction::release_locks(bool write_through) {
-  // Unlocks ride the nonblocking engine fire-and-forget: no agent observes
-  // *our* completion (a racing CAS that lands before an unlock just
-  // retries), so the round's cost is absorbed by whichever completion point
-  // comes next instead of paying one serial latency per held lock -- the
-  // last serial leg of the read hot path. Writeback PUTs either were flushed
-  // before this point or target the same rank as the lock word they precede
-  // (commit_local's pipeline eligibility rule), so a write unlock never
-  // overtakes its data (the RDMA same-destination ordering a real backend
-  // needs too).
+  // With batching on, unlocks ride the nonblocking engine fire-and-forget:
+  // no agent observes *our* completion (a racing CAS that lands before an
+  // unlock just retries), so the round's cost is absorbed by whichever
+  // completion point comes next instead of paying one serial latency per
+  // held lock -- the last serial leg of the read hot path. Writeback PUTs
+  // either were flushed before this point or target the same rank as the
+  // lock word they precede (commit_local's pipeline eligibility rule), so a
+  // write unlock never overtakes its data (the RDMA same-destination
+  // ordering a real backend needs too).
   //
   // Write-through (commit only): a write unlock fetches the word it
   // released, and the committed holder bytes -- which the write bit proves
   // no other agent could touch since the writeback -- are re-stamped into
   // the shared cache under the fetched post-unlock version. The rank's own
   // write set thus survives its own commits instead of going cold.
+  const bool nb = batching_enabled();
   const bool wt = write_through && db_->config().scache_write_through &&
                   scache() != nullptr;
   auto& blocks = db_->blocks();
   for_each_holder([&](DPtr id, auto& st) {
     if (st.lock == LockState::kWrite) {
       if (wt && !st.deleted) {
-        const std::uint64_t v = blocks.write_unlock_fetch(self_, id, /*nonblocking=*/true);
+        const std::uint64_t v = blocks.write_unlock_fetch(self_, id, nb);
         scache_restamp(id, st.buf, v, st.kIsEdge);
       } else {
-        blocks.write_unlock_nb(self_, id);
+        nb ? blocks.write_unlock_nb(self_, id) : blocks.write_unlock(self_, id);
       }
     }
-    if (st.lock == LockState::kRead) blocks.read_unlock_nb(self_, id);
+    if (st.lock == LockState::kRead)
+      nb ? blocks.read_unlock_nb(self_, id) : blocks.read_unlock(self_, id);
     st.lock = LockState::kNone;
   });
 }
@@ -1476,7 +1486,12 @@ Status Transaction::commit_local() {
       const auto [off, n] = st.deletion_write(B);
       const std::byte* bytes = st.buf.data() + off;
       if (db_->config().wal) wal_rec_.image(id, off, std::span<const std::byte>(bytes, n));
-      blocks.write_nb(self_, id, off, bytes, n);
+      if (batching_enabled()) {
+        blocks.write_nb(self_, id, off, bytes, n);
+      } else {
+        blocks.write(self_, id, off, bytes, n);
+        blocks.flush(self_, id.rank());
+      }
     }
     for (std::uint32_t i = 0; i < st.view.num_blocks(); ++i)
       to_release.push_back(i == 0 ? id : st.view.block_addr(i));
@@ -1499,7 +1514,7 @@ Status Transaction::commit_local() {
   // epoch slots or drag epoch-close fences into read streams.
   const std::uint64_t wb_bytes = self_.counters().bytes_put - wb_bytes_before;
   CommitPipeline* pipeline = db_->commit_pipeline(self_);
-  bool defer = pipeline != nullptr && wb_bytes > 0 &&
+  bool defer = pipeline != nullptr && batching_enabled() && wb_bytes > 0 &&
                scope_ == TxnScope::kLocal && to_release.empty() &&
                shrink_release_.empty() && !wb_cross_rank_;
   if (defer) {
@@ -1521,7 +1536,7 @@ Status Transaction::commit_local() {
   const bool must_fence = wb_bytes > 0 || !to_release.empty() ||
                           !shrink_release_.empty() ||
                           scope_ == TxnScope::kCollective;
-  if (self_.pending_nb_ops() > 0 && !defer && must_fence)
+  if (batching_enabled() && self_.pending_nb_ops() > 0 && !defer && must_fence)
     (void)self_.flush_all();
 
   // Phase 4: internal DHT index (app id -> DPtr) and explicit indexes. All
@@ -1540,7 +1555,7 @@ Status Transaction::commit_local() {
   }
   if (!pub_keys.empty()) {
     std::vector<std::uint8_t> pub_ok;
-    if (pub_keys.size() > 1) {
+    if (batching_enabled() && pub_keys.size() > 1) {
       pub_ok = dht.insert_many(self_, pub_keys, pub_vals);
     } else {
       pub_ok.assign(pub_keys.size(), 0);

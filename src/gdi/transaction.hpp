@@ -339,11 +339,11 @@ class Transaction {
                                               const Constraint* c);
   /// Batch-populate the block cache with the holders `ids` (primaries in one
   /// overlapped batch, continuations in a second). Callers must hold the
-  /// needed locks (or run lock-free in kReadShared). When `tainted` is
-  /// non-null it receives the primary of every holder that had a
-  /// continuation block *already* in the per-transaction cache -- bytes that
-  /// predate the caller's seqlock bracket and therefore disqualify the holder
-  /// from a lock-free shared-cache fill.
+  /// needed locks (or run lock-free in kReadShared). No-op unless batching
+  /// is enabled. When `tainted` is non-null it receives the primary of every
+  /// holder that had a continuation block *already* in the per-transaction
+  /// cache -- bytes that predate the caller's seqlock bracket and therefore
+  /// disqualify the holder from a lock-free shared-cache fill.
   template <class S>
   void populate_block_cache(std::span<const DPtr> ids,
                             std::unordered_set<std::uint64_t>* tainted = nullptr);
@@ -354,11 +354,12 @@ class Transaction {
   // entries are whole blocks). Populated by fetches and prefetches, consulted
   // before any window GET, invalidated for a holder's blocks the moment this
   // transaction takes write intent on it, dropped wholesale at commit/abort.
+  [[nodiscard]] bool batching_enabled() const;
   /// Read one block through the cache (counts hits/misses).
   void cache_read_block(DPtr blk, void* dst);
   /// Read a holder's continuation blocks [1, num_blocks) into `buf`:
   /// cache-served where possible, remaining misses fetched as one overlapped
-  /// batch (a single miss as one blocking read).
+  /// batch (or serially when batching is disabled).
   void read_tail_blocks(std::vector<std::byte>& buf, std::size_t total,
                         std::uint32_t num_blocks,
                         const std::function<DPtr(std::uint32_t)>& addr_of);

@@ -83,9 +83,10 @@ double Histogram::bucket_lo_ns(std::size_t i) const {
 double Histogram::percentile_ns(double p) const {
   if (total_ == 0) return 0;
   // Nearest rank: the smallest rank covering p% of the samples, at least the
-  // first, so the answer is always the bucket of a recorded sample.
+  // first, so the answer is always the bucket of a recorded sample. Scaling
+  // before the division keeps integer p exact (7 / 100.0 * 100 is 7.000...1).
   const auto rank =
-      static_cast<std::uint64_t>(std::ceil(p / 100.0 * static_cast<double>(total_)));
+      static_cast<std::uint64_t>(std::ceil(p * static_cast<double>(total_) / 100.0));
   const std::uint64_t target = std::clamp<std::uint64_t>(rank, 1, total_);
   std::uint64_t acc = 0;
   for (std::size_t i = 0; i < counts_.size(); ++i) {

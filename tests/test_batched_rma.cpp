@@ -395,9 +395,10 @@ TEST(BatchedRma, BlockCacheNeverServesStaleAfterOwnWrite) {
 }
 
 // The one-holder half of the singleton rule: a call that touches a single
-// holder or ID issues blocking ops only -- no nonblocking op, no batch, no
-// flush. This is what makes one-holder-per-call reads the serial reference
-// of the traversal and heavy-edge tests.
+// one-block holder or ID issues blocking ops only -- no nonblocking op, no
+// batch, no flush. (A holder with two or more uncached tail blocks reads
+// them as one batch.) This is what makes one-holder-per-call reads the
+// serial reference of the traversal and heavy-edge tests.
 TEST(BatchedRma, SingletonCallsIssueOnlyBlockingOps) {
   rma::Runtime rt(2, rma::NetParams::xc40());
   rt.run([&](rma::Rank& self) {

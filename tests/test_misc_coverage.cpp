@@ -159,6 +159,11 @@ TEST(MiscCoverage, HistogramRendering) {
   EXPECT_EQ(three.percentile_ns(50), lo[1]) << "rank 2 of 3 is the 50 us sample";
   EXPECT_EQ(three.percentile_ns(99), lo[2]) << "rank 3 of 3 is the 900 us sample";
   EXPECT_EQ(three.percentile_ns(100), lo[2]);
+  // p7 of 100 samples is rank 7 exactly, not the rank above it.
+  stats::Histogram hundred;
+  for (int i = 0; i < 100; ++i) hundred.add(i < 7 ? 1e3 : 900e3);
+  EXPECT_EQ(hundred.percentile_ns(7), lo[0]);
+  EXPECT_EQ(hundred.percentile_ns(8), lo[2]);
 }
 
 TEST(MiscCoverage, DPtrToString) {

@@ -281,8 +281,10 @@ def write_step_summary(report, regressions, failures):
     lines.append("")
     if failures:
         lines.append(f"**{len(failures)} bench(es) failed to run.**")
-    lines.append("All tracked metrics within threshold." if not regressions
-                 else f"**{len(regressions)} metric(s) regressed.**")
+    if regressions:
+        lines.append(f"**{len(regressions)} metric(s) regressed.**")
+    if not failures and not regressions:
+        lines.append("All tracked metrics within threshold.")
     lines.append("")
     with open(path, "a", encoding="utf-8") as f:
         f.write("\n".join(lines) + "\n")
